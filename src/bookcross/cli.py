@@ -26,7 +26,10 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .coloring import (
+    BUDGET_EXCEEDED,
+    COLORABLE,
     DEFAULT_NODE_BUDGET,
+    NOT_COLORABLE,
     PROVEN,
     REFUTED,
     LayoutLog,
@@ -45,6 +48,10 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+
+
+class LogFormatError(ValueError):
+    """A ``--log`` file that is malformed or belongs to another (m, n, k)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,33 +178,45 @@ def _cmd_crossings(args) -> int:
     return EXIT_OK
 
 
-def _load_log(path: str) -> dict[str, LayoutLog]:
+def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
+    """Finished layouts of a ``--log`` file written for the same (m, n, k)."""
     done: dict[str, LayoutLog] = {}
     if not os.path.exists(path):
         return done
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            entry = json.loads(line)
-            log = LayoutLog(
-                entry["canonical_string"], entry["verdict"], entry["nodes"], entry["millis"]
-            )
-            if log.verdict != "budget_exceeded":  # retry exhausted ones on resume
+            try:
+                entry = json.loads(line)
+                run = (entry["m"], entry["n"], entry["k"])
+                log = LayoutLog(
+                    str(entry["canonical_string"]),
+                    entry["verdict"],
+                    int(entry["nodes"]),
+                    float(entry["millis"]),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise LogFormatError(f"{path}:{lineno}: not a log record ({exc!r})") from exc
+            if run != (m, n, k):
+                raise LogFormatError(f"{path}:{lineno}: record is for (m, n, k) = {run}, not {(m, n, k)}")
+            if log.verdict not in (COLORABLE, NOT_COLORABLE, BUDGET_EXCEEDED):
+                raise LogFormatError(f"{path}:{lineno}: unknown verdict {log.verdict!r}")
+            if log.verdict != BUDGET_EXCEEDED:  # retry exhausted ones on resume
                 done[log.canonical] = log
     return done
 
 
 def _cmd_verify(args) -> int:
-    completed = _load_log(args.log) if args.log else {}
+    completed = _load_log(args.log, args.m, args.n, args.k) if args.log else {}
     result = verify_positive_crossing(
         args.m, args.n, args.k, budget=args.budget, jobs=max(1, args.jobs), completed=completed
     )
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
         for log in result.logs:
-            line = json.dumps(log.to_dict())
+            line = json.dumps({"m": args.m, "n": args.n, "k": args.k, **log.to_dict()})
             print(line)
             if log_fh:
                 log_fh.write(line + "\n")
@@ -313,6 +332,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}: not found", file=sys.stderr)
+        return EXIT_DATA
+    except LogFormatError as exc:
+        print(f"malformed log file: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OracleLimitError as exc:
         print(f"oracle limits: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ The conflict graph of a circular layout has one vertex per edge of K_{m,n}
 are adjacent iff the edges cross when drawn on a single page.  A layout
 extends to a crossing-free k-page drawing iff its conflict graph is
 k-colorable (colors = pages), so "no layout is k-colorable" certifies that
-every k-page drawing of K_{m,n} has a crossing.
+every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from
+``drawings.half_interleaving``, the one vectorized crossing kernel.
 
 Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
@@ -22,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .drawings import BookDrawing, CircularLayout
+from .drawings import BookDrawing, CircularLayout, half_interleaving
 from .enumeration import enumerate_layouts, layout_from_string
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -69,24 +70,17 @@ class ConflictGraph:
 
 
 def conflict_graph(layout: CircularLayout) -> ConflictGraph:
-    """Build the conflict graph of a layout (vectorized interleaving test)."""
+    """Build the conflict graph of a layout through the crossing kernel."""
     m, n = layout.m, layout.n
     bpos = np.asarray(layout.black_positions, dtype=np.int64)
     wpos = np.asarray(layout.white_positions, dtype=np.int64)
     # vertex v = i*n + j; chord endpoints normalized to lo < hi
     x = np.repeat(bpos, n)
     y = np.tile(wpos, m)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    half = (lo[:, None] < lo) & (lo < hi[:, None]) & (hi[:, None] < hi)
-    cross = half | half.T
-    masks = []
-    for row in cross:
-        mask = 0
-        for v in np.flatnonzero(row):
-            mask |= 1 << int(v)
-        masks.append(mask)
-    return ConflictGraph(m, n, tuple(masks))
+    half = half_interleaving(np.minimum(x, y), np.maximum(x, y))
+    # bit v of row u's little-endian bytes is entry (u, v)
+    packed = np.packbits(half | half.T, axis=1, bitorder="little")
+    return ConflictGraph(m, n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +491,19 @@ def verify_positive_crossing(
             if colors is not None:
                 witness_colors[s] = colors
 
-    logs = tuple(done[s] for s in layouts)
-    for log in logs:
-        if log.verdict == COLORABLE:
-            colors = witness_colors.get(log.canonical)
-            if colors is None:  # resumed colorable entry: recompute the witness
-                _, colors = check_layout(log.canonical, k, budget)
+    logs = [done[s] for s in layouts]
+    for idx, log in enumerate(logs):
+        if log.verdict != COLORABLE:
+            continue
+        colors = witness_colors.get(log.canonical)
+        if colors is None:
+            # resumed colorable entry: recompute the witness; if the budget
+            # runs out first, the recomputed log leaves the layout unfinished
+            logs[idx], colors = check_layout(log.canonical, k, budget)
+        if colors is not None:
             witness = coloring_to_drawing(layout_from_string(log.canonical), colors, k)
-            return PipelineResult(m, n, k, REFUTED, logs, witness=witness)
+            return PipelineResult(m, n, k, REFUTED, tuple(logs), witness=witness)
+    logs = tuple(logs)
     unfinished = tuple(log.canonical for log in logs if log.verdict == BUDGET_EXCEEDED)
     if unfinished:
         return PipelineResult(m, n, k, INCONCLUSIVE, logs, unfinished=unfinished)

@@ -19,14 +19,18 @@ never wraps; block indices reduce mod t and black indices mod s+t.
 Correctness is not taken on faith: every constructed embedding is validated
 (each edge placed exactly once, zero crossings, balanced loads) and a
 violation raises ConstructionError.
+
+Crossings are counted by ``drawings.count_crossings`` through the one
+crossing kernel.  The ``*_crossing_count`` functions keep their names but
+delegate to ``bounds``, which owns every closed form.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
 
+from .bounds import block_cyclic_bound, riskin_value, turan_lower
 from .drawings import (
     BookDrawing,
     CircularLayout,
@@ -70,13 +74,11 @@ def riskin_drawing(m: int, n: int) -> BookDrawing:
 
 
 def riskin_crossing_count(m: int, n: int) -> int:
-    """Closed-form 1-page count n(m-1)(2mn-3m-n)/12; requires m | n."""
-    if n % m:
+    """Closed-form 1-page count ``bounds.riskin_value``; requires m | n."""
+    exact = riskin_value(m, n)
+    if not exact.valid:
         raise ValueError("closed form requires m | n")
-    value, rem = divmod(n * (m - 1) * (2 * m * n - 3 * m - n), 12)
-    if rem:
-        raise ArithmeticError(f"1-page count for ({m},{n}) not integral")
-    return value
+    return exact.value
 
 
 @dataclass(frozen=True)
@@ -217,14 +219,12 @@ def blowup(base: BookDrawing, n: int) -> BookDrawing:
 
 
 def blowup_crossing_count(k: int, n: int) -> int:
-    """Closed-form crossing total of ``blowup(balanced_embedding(k), n)``."""
+    """Closed-form crossing total of ``blowup(balanced_embedding(k), n)``:
+    ``bounds.turan_lower`` at width s*t, which the blow-up attains."""
     s, t = balanced_parameters(k)
-    ell = s * t
-    if n < ell:
-        raise ValueError(f"n must be at least {ell}")
-    q = n % ell
-    c = (n - q) // ell
-    return q * comb(c + 1, 2) + (ell - q) * comb(c, 2)
+    if n < s * t:
+        raise ValueError(f"n must be at least {s * t}")
+    return turan_lower(k, n, s * t)
 
 
 def block_cyclic(m: int, n: int, k: int) -> BookDrawing:
@@ -267,12 +267,5 @@ def block_cyclic(m: int, n: int, k: int) -> BookDrawing:
 
 
 def block_cyclic_crossing_count(m: int, n: int, k: int) -> int:
-    """Closed-form crossing total of ``block_cyclic(m, n, k)``."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    r = m % k
-    s = n % k
-    value, rem = divmod((m - r) * (n - s) * (m - k + r) * (n - k + s), 4 * k * k)
-    if rem:
-        raise ArithmeticError(f"block-cyclic count for ({m},{n},{k}) not integral")
-    return value
+    """Closed-form crossing total of ``block_cyclic(m, n, k)``: ``bounds.block_cyclic_bound``."""
+    return block_cyclic_bound(k, m, n)

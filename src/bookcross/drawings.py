@@ -10,6 +10,11 @@ black vertex (the part of size m) and ``("w", j)`` for the j-th white vertex
 (the part of size n).  Positions on the circle are a separate concept, so
 constructions can be phrased in either frame.
 
+``half_interleaving`` is the one vectorized crossing kernel: both
+``count_crossings`` and ``coloring.conflict_graph`` go through it, while the
+scalar ``edges_cross`` stays as the independent reference.  Closed-form
+crossing totals live in ``bounds``.
+
 All arithmetic is exact Python integer arithmetic; the vectorized counting
 path only produces counts bounded by the number of edge pairs, far below
 int64 range for any m, n <= 10**4.
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -180,28 +185,25 @@ def edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
     return (((c - a) % nverts < span) != ((d - a) % nverts < span))
 
 
-def _interleaving_pairs(a: np.ndarray, b: np.ndarray) -> int:
-    """Count interleaving chord pairs; a[i] < b[i] are linear positions.
+def half_interleaving(lo: np.ndarray, hi: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """The crossing kernel: ``out[r, c]`` is True iff lo[i] < lo[c] < hi[i] < hi[c]
+    for the r-th chord i of ``rows``; chords are linear positions lo < hi.
 
-    Chords (a_i,b_i), (a_j,b_j) cross iff a_i < a_j < b_i < b_j for one of
-    the two orderings, which also rules out shared endpoints.  Row-chunked
-    broadcasting keeps memory bounded for large pages.
+    A crossing pair passes in exactly one orientation, so the full relation is
+    the matrix OR its transpose.  Strict inequalities keep chords that share
+    an endpoint apart.
     """
-    cnt = len(a)
-    if cnt < 2:
-        return 0
-    total = 0
-    chunk = max(1, (1 << 22) // max(cnt, 1))
-    for lo in range(0, cnt, chunk):
-        hi = min(lo + chunk, cnt)
-        A = a[lo:hi, None]
-        B = b[lo:hi, None]
-        total += int(np.count_nonzero((A < a) & (a < B) & (B < b)))
-    return total
+    lo_r = lo[rows, None]
+    hi_r = hi[rows, None]
+    return (lo_r < lo) & (lo < hi_r) & (hi_r < hi)
 
 
 def count_crossings(d: BookDrawing) -> CrossingReport:
-    """Exact per-page and total crossing counts of a book drawing."""
+    """Exact per-page and total crossing counts of a book drawing.
+
+    Each page is counted through ``half_interleaving`` in row chunks, which
+    keeps memory bounded for large pages.
+    """
     bpos = d.layout.black_positions
     wpos = d.layout.white_positions
     lo_by_page: list[list[int]] = [[] for _ in range(d.k)]
@@ -213,14 +215,16 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
             x, y = y, x
         lo_by_page[p].append(x)
         hi_by_page[p].append(y)
-    per_page = tuple(
-        _interleaving_pairs(
-            np.asarray(lo_by_page[p], dtype=np.int64),
-            np.asarray(hi_by_page[p], dtype=np.int64),
-        )
-        for p in range(d.k)
-    )
-    return CrossingReport(sum(per_page), per_page)
+    per_page = []
+    for lo_list, hi_list in zip(lo_by_page, hi_by_page):
+        lo = np.asarray(lo_list, dtype=np.int64)
+        hi = np.asarray(hi_list, dtype=np.int64)
+        chunk = max(1, (1 << 22) // max(len(lo), 1))
+        per_page.append(sum(
+            int(np.count_nonzero(half_interleaving(lo, hi, slice(r, r + chunk))))
+            for r in range(0, len(lo), chunk)
+        ))
+    return CrossingReport(sum(per_page), tuple(per_page))
 
 
 def page_loads(d: BookDrawing, w: int) -> list[int]:
@@ -317,15 +321,3 @@ def permute_pages(d: BookDrawing, perm: list[int]) -> BookDrawing:
         raise ValueError("perm must be a permutation of 0..k-1")
     return BookDrawing(d.layout, d.k, {e: perm[p] for e, p in d.pages.items()})
 
-
-def crossing_pairs(d: BookDrawing) -> Iterator[tuple[Edge, Edge]]:
-    """All unordered same-page edge pairs that cross (reference-path iterator)."""
-    by_page: list[list[Edge]] = [[] for _ in range(d.k)]
-    for e, p in d.pages.items():
-        by_page[p].append(e)
-    for group in by_page:
-        group.sort()
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                if edges_cross(d.layout, group[x], group[y]):
-                    yield group[x], group[y]

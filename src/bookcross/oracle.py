@@ -17,8 +17,9 @@ import time
 import warnings
 from dataclasses import dataclass
 
+from .coloring import conflict_graph
 from .constructions import balanced_embedding, balanced_parameters, block_cyclic, blowup, riskin_drawing
-from .drawings import BookDrawing, CircularLayout, count_crossings, edges_cross
+from .drawings import BookDrawing, CircularLayout, count_crossings
 from .enumeration import enumerate_layouts
 
 
@@ -89,18 +90,11 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
     Returns (new best, nodes used).  Never reports a value >= best, so the
     caller keeps its incumbent unless a strictly better assignment exists.
     """
-    m, n = layout.m, layout.n
-    edges = [(i, j) for i in range(m) for j in range(n)]
-    cross_of: list[int] = []
-    for a, e in enumerate(edges):
-        mask = 0
-        for b, f in enumerate(edges):
-            if b != a and edges_cross(layout, e, f):
-                mask |= 1 << b
-        cross_of.append(mask)
-    order = sorted(range(len(edges)), key=lambda a: (-cross_of[a].bit_count(), a))
+    cross_of = conflict_graph(layout).adj  # vertex i*n + j is edge (i, j)
+    nedges = len(cross_of)
+    order = sorted(range(nedges), key=lambda a: (-cross_of[a].bit_count(), a))
     remap = {old: new for new, old in enumerate(order)}
-    masks = [0] * len(edges)
+    masks = [0] * nedges
     for new, old in enumerate(order):
         w = cross_of[old]
         acc = 0
@@ -110,7 +104,6 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
             w ^= low
         masks[new] = acc
 
-    nedges = len(edges)
     page_bits = [0] * k
     nodes = 0
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bookcross.cli import main
 from bookcross.drawings import count_crossings, from_json
 from bookcross.enumeration import canonical_form
@@ -125,6 +127,36 @@ class TestVerifyPagenumber:
         code, out, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("proven")
+
+    def test_log_for_other_k_rejected(self, capsys, tmp_path):
+        log = tmp_path / "run.jsonl"
+        code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
+        assert code == 0
+        code, out, err = run(capsys, "verify-pagenumber", "4", "5", "4", "--jobs", "1", "--log", str(log))
+        assert code == 65
+        assert str(log) in err
+        assert "proven" not in out
+        # without the k=3 log the same question is refuted by an embedding
+        code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "4", "--jobs", "1")
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verd\n',
+            '{"m": 4, "n": 5, "k": 3, "verdict": "not_colorable", "nodes": 0, "millis": 0.1}\n',
+            '{"canonical_string": "000001111", "verdict": "not_colorable", "nodes": 0, "millis": 0.1}\n',
+            '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verdict": "maybe", '
+            '"nodes": 0, "millis": 0.1}\n',
+        ],
+        ids=["truncated", "no_canonical_string", "no_mnk", "unknown_verdict"],
+    )
+    def test_malformed_log_exit_65(self, capsys, tmp_path, text):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(text)
+        code, _, err = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
+        assert code == 65
+        assert str(log) in err
 
 
 class TestBounds:

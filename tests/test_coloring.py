@@ -6,8 +6,10 @@ import pytest
 from bookcross.coloring import (
     BUDGET_EXCEEDED,
     COLORABLE,
+    INCONCLUSIVE,
     NOT_COLORABLE,
     ConflictGraph,
+    LayoutLog,
     clique_lower_bound,
     coloring_satisfies_cnf,
     coloring_to_drawing,
@@ -61,8 +63,9 @@ class TestConflictGraph:
 
     def test_matches_scalar_predicate(self):
         rng = random.Random(31)
-        for _ in range(10):
-            lay = random_layout(rng, rng.randint(2, 4), rng.randint(2, 4))
+        layouts = [random_layout(rng, rng.randint(2, 4), rng.randint(2, 4)) for _ in range(10)]
+        layouts += [random_layout(rng, m, n) for m, n in ((1, 6), (5, 9), (6, 10), (7, 12), (7, 13))]
+        for lay in layouts:
             g = conflict_graph(lay)
             n = lay.n
             for u in range(g.vertex_count):
@@ -275,6 +278,18 @@ class TestVerifyPipeline:
         resumed = verify_positive_crossing(4, 5, 3, completed=done)
         assert resumed.status == "proven"
         assert [l.millis for l in resumed.logs] == [l.millis for l in first.logs]
+
+    def test_resumed_colorable_out_of_budget_is_unfinished(self):
+        # recomputing a resumed witness that runs out of budget leaves its
+        # layout unfinished instead of building a drawing from no coloring
+        strings = [lay.to_bitstring() for lay in enumerate_layouts(4, 4)]
+        done = {s: LayoutLog(s, COLORABLE, 1, 0.0) for s in strings}
+        res = verify_positive_crossing(4, 4, 3, budget=0, completed=done)
+        assert res.status == INCONCLUSIVE
+        assert res.witness is None
+        assert res.unfinished
+        by_string = {log.canonical: log.verdict for log in res.logs}
+        assert all(by_string[s] == BUDGET_EXCEEDED for s in res.unfinished)
 
     def test_refuted_witness_converts_coloring(self):
         lay = CircularLayout.of(

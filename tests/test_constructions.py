@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bookcross.bounds import zarankiewicz
+from bookcross.bounds import block_cyclic_bound, riskin_value, turan_lower, zarankiewicz
 from bookcross.constructions import (
     BalancedParams,
     balanced_embedding,
@@ -160,3 +160,35 @@ class TestBlockCyclic:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             block_cyclic(3, 3, 0)
+
+
+def outcome(f, *args):
+    """Return value of f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestClosedFormDelegates:
+    def test_equal_bounds_formulas_and_raise_alike(self):
+        for m in range(0, 13):
+            for n in range(0, 30):
+                if m == 0:
+                    expected = ZeroDivisionError
+                else:
+                    exact = riskin_value(m, n)
+                    expected = exact.value if exact.valid else ValueError
+                assert outcome(riskin_crossing_count, m, n) == expected, (m, n)
+                for k in range(-1, 9):
+                    assert outcome(block_cyclic_crossing_count, m, n, k) == outcome(
+                        block_cyclic_bound, k, m, n
+                    ), (m, n, k)
+        for k in range(-1, 9):
+            for n in range(0, 60):
+                if k < 1:
+                    expected = ValueError
+                else:
+                    s, t = balanced_parameters(k)
+                    expected = turan_lower(k, n, s * t) if n >= s * t else ValueError
+                assert outcome(blowup_crossing_count, k, n) == expected, (k, n)
