@@ -32,10 +32,10 @@ print(
     f"{count_crossings(w).total} crossings"
 )
 
-print("\n=== clique bounds do most of the pruning ===")
+print("\n=== maximum cliques do most of the pruning ===")
 for layout in list(enumerate_layouts(4, 5))[:4]:
     g = conflict_graph(layout)
-    print(f"  {layout.to_bitstring()}: {g.vertex_count} vertices, clique >= {clique_lower_bound(g)}")
+    print(f"  {layout.to_bitstring()}: {g.vertex_count} vertices, clique = ω = {clique_lower_bound(g)}")
 
 print("\n=== the same decisions export as DIMACS CNF ===")
 g = conflict_graph(next(enumerate_layouts(4, 5)))

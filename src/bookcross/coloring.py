@@ -12,13 +12,15 @@ Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
 0, 1, 2, ... and new color classes are only introduced in first-use order.
 At desk scale (<= 91 vertices) this is exact, so no spectral or SDP lower
-bound machinery is needed; a clique bound does the cheap pruning.
+bound machinery is needed; a maximum clique, omega(g) <= chi(g), does the
+cheap pruning (a sweep over the layout, or exact search for other graphs).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ class ConflictGraph:
     m: int
     n: int
     adj: tuple[int, ...]  # bitmask of neighbors per vertex
+    layout: CircularLayout | None = field(default=None, compare=False)  # None if hand-built
 
     @property
     def vertex_count(self) -> int:
@@ -80,51 +83,48 @@ def conflict_graph(layout: CircularLayout) -> ConflictGraph:
     half = half_interleaving(np.minimum(x, y), np.maximum(x, y))
     # bit v of row u's little-endian bytes is entry (u, v)
     packed = np.packbits(half | half.T, axis=1, bitorder="little")
-    return ConflictGraph(m, n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+    return ConflictGraph(m, n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed), layout)
 
 
 # ---------------------------------------------------------------------------
 # Cliques
 # ---------------------------------------------------------------------------
 
-EXACT_CLIQUE_LIMIT = 30
-
-
-def _greedy_clique(g: ConflictGraph) -> list[int]:
-    nvert = g.vertex_count
-    order = sorted(range(nvert), key=lambda v: (-g.degree(v), v))
+def _crossing_chain(layout: CircularLayout) -> list[int]:
+    """A largest set of pairwise-crossing chords (lo, hi): ordered by lo, both
+    ends rise strictly and all straddle one spine cut p (lo <= p < hi), so per
+    cut it is a longest strictly increasing run of hi over the chords sorted
+    by (lo, -hi), the tie-break keeping chords with a shared left end apart."""
+    n = layout.n
+    chords = sorted(
+        (min(x, y), -max(x, y), i * n + j)
+        for i, x in enumerate(layout.black_positions)
+        for j, y in enumerate(layout.white_positions)
+    )
     best: list[int] = []
-    for seed in order:
-        clique = [seed]
-        cand = g.adj[seed]
-        while cand:
-            pick = -1
-            pick_deg = -1
-            w = cand
-            while w:
-                low = w & -w
-                v = low.bit_length() - 1
-                d = (g.adj[v] & cand).bit_count()
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-                w ^= low
-            clique.append(pick)
-            cand &= g.adj[pick]
-        if len(clique) > len(best):
-            best = clique
+    for p in range(len(layout.seq)):
+        tails: list[int] = []  # least hi ending a run of each length
+        runs: list[list[int]] = [[]]  # runs[r + 1]: the vertices of that run
+        for hi, v in [(-neg_hi, v) for lo, neg_hi, v in chords if lo <= p < -neg_hi]:
+            r = bisect_left(tails, hi)
+            if r == len(tails):
+                tails.append(hi)
+                runs.append(runs[r] + [v])
+            else:
+                tails[r] = hi
+                runs[r + 1] = runs[r] + [v]
+        best = max(best, runs[-1], key=len)
     return best
 
 
 def _exact_max_clique(g: ConflictGraph) -> list[int]:
-    best = _greedy_clique(g)
+    best: list[int] = []
     adj = g.adj
 
     def expand(stack: list[int], cand: int) -> None:
         nonlocal best
-        if not cand:
-            if len(stack) > len(best):
-                best = stack.copy()
-            return
+        if len(stack) > len(best):
+            best = stack.copy()
         while cand:
             if len(stack) + cand.bit_count() <= len(best):
                 return
@@ -139,19 +139,17 @@ def _exact_max_clique(g: ConflictGraph) -> list[int]:
     return best
 
 
-def find_clique(g: ConflictGraph, exact_limit: int = EXACT_CLIQUE_LIMIT) -> list[int]:
-    """A clique of g: the exact maximum up to ``exact_limit`` vertices,
-    otherwise the best multi-start greedy extension."""
-    if g.vertex_count == 0:
-        return []
-    if g.vertex_count <= exact_limit:
+def find_clique(g: ConflictGraph) -> list[int]:
+    """A maximum clique of g, size omega(g) <= chi(g): the crossing-chain sweep
+    over a conflict graph's layout, exact branch and bound without a layout."""
+    if g.layout is None:
         return _exact_max_clique(g)
-    return _greedy_clique(g)
+    return _crossing_chain(g.layout)
 
 
 def clique_lower_bound(g: ConflictGraph) -> int:
-    """Size of the clique found by find_clique; always <= chi(g)."""
-    return max(1, len(find_clique(g))) if g.vertex_count else 0
+    """omega(g), the size of a maximum clique; always <= chi(g)."""
+    return len(find_clique(g))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,6 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
 
     for c, v in enumerate(clique):
         paint(v, c)
-    used = max(len(clique), 1)
 
     def select() -> int:
         best_v = -1
@@ -261,7 +258,7 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
         return False
 
     try:
-        ok = extend(nvert - len(clique), used)
+        ok = extend(nvert - len(clique), len(clique))
     except _Budget:
         return ColoringResult(BUDGET_EXCEEDED, None, nodes, _ms(start))
     if not ok:
@@ -463,12 +460,14 @@ def verify_positive_crossing(
     """Decide whether every k-page drawing of K_{m,n} has a crossing.
 
     Iterates all distinct circular layouts; PROVEN iff each conflict graph is
-    uncolorable with k colors.  A colorable layout immediately REFUTES (its
-    coloring is a page assignment with zero crossings).  ``completed`` maps
-    canonical strings to prior logs so long runs can resume; ``jobs`` > 1
-    fans layouts out to worker processes (the verdict, a conjunction, does
-    not depend on completion order).
+    uncolorable with k colors.  Every layout is checked first, then a colorable
+    one REFUTES (its coloring is a page assignment with no crossing).
+    ``completed`` maps canonical strings to prior logs so long runs can resume;
+    ``jobs`` > 1 fans layouts out to worker processes (the verdict, a
+    conjunction, does not depend on completion order).
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     layouts = [lay.to_bitstring() for lay in enumerate_layouts(m, n)]
     done: dict[str, LayoutLog] = dict(completed or {})
     pending = [s for s in layouts if s not in done]

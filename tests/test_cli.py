@@ -106,6 +106,15 @@ class TestVerifyPagenumber:
         assert code == 2
         assert "inconclusive" in out
 
+    def test_negative_budget_exit_64(self, capsys):
+        code, _, err = run(capsys, "verify-pagenumber", "4", "5", "3", "--budget", "-1", "--jobs", "1")
+        assert code == 64
+        assert "budget" in err
+        # 0 is the clique bound alone: every layout is decided or unfinished
+        code, out, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--budget", "0", "--jobs", "1")
+        assert code == 2
+        assert "inconclusive" in out
+
     def test_export_cnf(self, capsys, tmp_path):
         cnf_dir = tmp_path / "cnfs"
         code, _, _ = run(

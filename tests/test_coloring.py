@@ -10,6 +10,7 @@ from bookcross.coloring import (
     NOT_COLORABLE,
     ConflictGraph,
     LayoutLog,
+    _exact_max_clique,
     clique_lower_bound,
     coloring_satisfies_cnf,
     coloring_to_drawing,
@@ -121,6 +122,25 @@ class TestClique:
                 default=0,
             )
             assert exact == best
+
+    def test_sweep_is_maximum_on_small_layouts(self):
+        # every layout with at most 30 vertices, against branch and bound on
+        # the same adjacency with the layout dropped
+        for m, n in ((5, 6), (4, 7), (3, 10)):
+            for lay in enumerate_layouts(m, n):
+                g = conflict_graph(lay)
+                clique = find_clique(g)
+                assert all((g.adj[u] >> v) & 1 for u, v in itertools.combinations(clique, 2))
+                assert len(clique) == len(_exact_max_clique(ConflictGraph(m, n, g.adj)))
+
+    def test_k6_10_clique_decides_235_layouts(self):
+        decided = 0
+        for lay in enumerate_layouts(6, 10):
+            g = conflict_graph(lay)
+            clique = find_clique(g)
+            assert all((g.adj[u] >> v) & 1 for u, v in itertools.combinations(clique, 2))
+            decided += len(clique) > 5
+        assert decided == 235
 
 
 class TestIsKColorable:
