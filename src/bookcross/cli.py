@@ -211,7 +211,7 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
 def _cmd_verify(args) -> int:
     completed = _load_log(args.log, args.m, args.n, args.k) if args.log else {}
     result = verify_positive_crossing(
-        args.m, args.n, args.k, budget=args.budget, jobs=max(1, args.jobs), completed=completed
+        args.m, args.n, args.k, budget=args.budget, jobs=args.jobs, completed=completed
     )
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     try:

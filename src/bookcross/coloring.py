@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .drawings import BookDrawing, CircularLayout, half_interleaving
-from .enumeration import enumerate_layouts, layout_from_string
+from .enumeration import layout_from_string, necklace_classes
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -463,12 +463,15 @@ def verify_positive_crossing(
     uncolorable with k colors.  Every layout is checked first, then a colorable
     one REFUTES (its coloring is a page assignment with no crossing).
     ``completed`` maps canonical strings to prior logs so long runs can resume;
-    ``jobs`` > 1 fans layouts out to worker processes (the verdict, a
-    conjunction, does not depend on completion order).
+    ``jobs`` must be at least 1; above 1 it fans layouts out to worker
+    processes (the verdict, a conjunction, does not depend on completion
+    order).
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    layouts = [lay.to_bitstring() for lay in enumerate_layouts(m, n)]
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    layouts = [c.canonical for c in necklace_classes(m, n)]
     done: dict[str, LayoutLog] = dict(completed or {})
     pending = [s for s in layouts if s not in done]
 

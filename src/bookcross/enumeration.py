@@ -6,25 +6,22 @@ under the dihedral group D_{m+n}.  Orbits are represented by the
 lexicographically minimal string over all rotations of the string and of its
 reversal.
 
-The enumerator canonicalizes the whole 2**(m+n) value space at once with
-vectorized rotate/reflect passes and buckets by popcount; the table is cached
-per word length, so scanning every (m, n) with the same m+n costs one pass.
-This is ample for desk scale (m+n <= 24) and is deliberately not a general
-bracelet-generation algorithm.
+The classes are generated one at a time in ascending order: fixed-content
+necklace generation (Ruskey and Sawada) yields the strings that are least
+among their rotations, and the reversal test keeps the bracelets, those that
+are also no greater than any rotation of their reversal (Sawada 2001).  The
+work and memory grow with the number of classes, not with 2**(m+n), and no
+word length is capped.  ``canonical_form`` (brute force per string) and
+``count_formula`` (Burnside's lemma) stay as independent references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator
 
-import numpy as np
-
 from .drawings import CircularLayout
-
-MAX_BITS = 24  # full-space table: 2**24 uint32 entries per array
 
 
 @dataclass(frozen=True)
@@ -52,54 +49,48 @@ def canonical_form(s: str) -> str:
     return best
 
 
-def _popcount32(v: np.ndarray) -> np.ndarray:
-    x = v - ((v >> 1) & np.uint32(0x55555555))
-    x = (x & np.uint32(0x33333333)) + ((x >> 2) & np.uint32(0x33333333))
-    x = (x + (x >> 4)) & np.uint32(0x0F0F0F0F)
-    return ((x * np.uint32(0x01010101)) >> 24).astype(np.uint8)
+def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
+    """Orbit classes in ascending order, generated one at a time.
 
-
-@lru_cache(maxsize=3)
-def _canonical_table(nbits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(canonical value, popcount) for every nbits-wide value.
-
-    Bit nbits-1 of a value is the string's first character, so numeric order
-    on values equals lexicographic order on strings.
+    Fixed-content FKM generation over '0' < '1' (Ruskey and Sawada) walks the
+    prenecklaces with n zeros and m ones depth first on an explicit stack, so
+    word length is not limited by the recursion depth.  A full-length word
+    whose period p divides m+n is a necklace, the least of its rotations; it
+    is kept as a bracelet when it is no greater than any rotation of its
+    reversal (Sawada 2001).  The orbit has p strings, or 2p when the reversal
+    is not a rotation of the necklace.
     """
-    if nbits > MAX_BITS:
-        raise ValueError(f"m+n = {nbits} exceeds the supported table size ({MAX_BITS})")
-    size = 1 << nbits
-    mask = np.uint32(size - 1)
-    v = np.arange(size, dtype=np.uint32)
-    canon = v.copy()
-    # left rotation of the string: s -> s[1:] + s[0]
-    r = v.copy()
-    for _ in range(nbits - 1):
-        r = ((r << np.uint32(1)) & mask) | (r >> np.uint32(nbits - 1))
-        np.minimum(canon, r, out=canon)
-    rev = np.zeros(size, dtype=np.uint32)
-    for i in range(nbits):
-        rev = (rev << np.uint32(1)) | ((v >> np.uint32(i)) & np.uint32(1))
-    r = rev
-    np.minimum(canon, r, out=canon)
-    for _ in range(nbits - 1):
-        r = ((r << np.uint32(1)) & mask) | (r >> np.uint32(nbits - 1))
-        np.minimum(canon, r, out=canon)
-    return canon, _popcount32(v)
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    size = m + n
+    word = ["0"] * size
+    # (position, symbol, period of the prefix ending there, ones in that prefix)
+    stack = [(0, "0", 1, 0)]
+    while stack:
+        t, symbol, p, ones = stack.pop()
+        word[t] = symbol
+        t += 1
+        if t == size:
+            if size % p:
+                continue
+            s = "".join(word)
+            twice = s[::-1] * 2
+            r = min(twice[i : i + size] for i in range(p))
+            if s <= r:
+                yield NecklaceClass(s, p if s == r else 2 * p)
+        elif ones < m:  # with only zeros left the word would end in '0', never a necklace
+            # repeating word[t - p] keeps the period; a '1' above it makes the prefix a Lyndon word
+            if word[t - p] == "1":
+                stack.append((t, "1", p, ones + 1))
+            else:
+                stack.append((t, "1", t + 1, ones + 1))
+                if t - ones < n:
+                    stack.append((t, "0", p, ones))
 
 
 def necklace_classes(m: int, n: int) -> list[NecklaceClass]:
     """All orbit classes for m blacks and n whites, canonical strings ascending."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    nbits = m + n
-    canon, pc = _canonical_table(nbits)
-    values, counts = np.unique(canon[pc == m], return_counts=True)
-    width = nbits
-    return [
-        NecklaceClass(format(int(val), f"0{width}b"), int(cnt))
-        for val, cnt in zip(values, counts)
-    ]
+    return list(_bracelets(m, n))
 
 
 def layout_from_string(s: str) -> CircularLayout:
@@ -121,8 +112,8 @@ def layout_from_string(s: str) -> CircularLayout:
 
 
 def enumerate_layouts(m: int, n: int) -> Iterator[CircularLayout]:
-    """One layout per dihedral orbit, in canonical (lexicographic) order."""
-    for cls in necklace_classes(m, n):
+    """One layout per dihedral orbit, in canonical (lexicographic) order, lazily."""
+    for cls in _bracelets(m, n):
         yield layout_from_string(cls.canonical)
 
 

@@ -115,6 +115,12 @@ class TestVerifyPagenumber:
         assert code == 2
         assert "inconclusive" in out
 
+    def test_nonpositive_jobs_exit_64(self, capsys):
+        for jobs in ("0", "-3"):
+            code, out, err = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", jobs)
+            assert code == 64
+            assert "jobs" in err and "proven" not in out
+
     def test_export_cnf(self, capsys, tmp_path):
         cnf_dir = tmp_path / "cnfs"
         code, _, _ = run(

@@ -1,9 +1,13 @@
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
+from bookcross.cli import main
 from bookcross.enumeration import (
+    NecklaceClass,
     canonical_form,
     count_formula,
     enumerate_layouts,
@@ -89,6 +93,32 @@ class TestEnumerateLayouts:
         with pytest.raises(ValueError):
             layout_from_string("1111")
 
-    def test_word_length_cap(self):
-        with pytest.raises(ValueError):
-            necklace_classes(13, 13)
+    def test_matches_brute_force_grouping(self):
+        for total in range(2, 15):
+            for m in range(1, total):
+                orbits = Counter(
+                    canonical_form("".join("1" if i in ones else "0" for i in range(total)))
+                    for ones in map(set, combinations(range(total), m))
+                )
+                classes = [(c.canonical, c.orbit_size) for c in necklace_classes(m, total - m)]
+                assert classes == sorted(orbits.items()), (m, total - m)
+
+    def test_long_skewed_words(self):
+        assert necklace_classes(1, 3000) == [NecklaceClass("0" * 3000 + "1", 3001)]
+        assert necklace_classes(3000, 1) == [NecklaceClass("0" + "1" * 3000, 3001)]
+
+    def test_lazy_generation(self):
+        # about 3.5e13 classes: only the first one is generated
+        first = next(enumerate_layouts(20, 40))
+        assert first.to_bitstring() == "0" * 40 + "1" * 20
+
+    def test_no_word_length_cap(self, capsys):
+        assert len(necklace_classes(3, 30)) == count_formula(3, 30) == 91
+        assert main(["enumerate", "3", "30"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 91 and all(len(s) == 33 for s in lines)
+        for m, n in [(0, 3), (3, 0), (-1, 2)]:
+            with pytest.raises(ValueError):
+                necklace_classes(m, n)
+            with pytest.raises(ValueError):
+                next(enumerate_layouts(m, n))
