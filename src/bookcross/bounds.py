@@ -187,6 +187,7 @@ def nonembeddable_width(k: int) -> int:
 @dataclass(frozen=True)
 class ScanRow:
     k: int
+    m: int
     n: int
     source: str
     kind: str  # "lower" | "upper" | "exact"
@@ -194,14 +195,13 @@ class ScanRow:
     valid: bool
 
     def to_dict(self) -> dict:
-        v = self.value
         return {
             "k": self.k,
-            "m": self.k + 1,
+            "m": self.m,
             "n": self.n,
             "formula": self.source,
             "kind": self.kind,
-            "value": v if isinstance(v, int) else str(v),
+            "value": _jsonable(self.value),
             "valid": self.valid,
         }
 
@@ -237,24 +237,38 @@ class ScanReport:
 def family_rows(k: int, n: int) -> list[ScanRow]:
     """Every applicable bound row for the family K_{k+1,n}."""
     rows: list[ScanRow] = []
+    m = k + 1
     ell = (k + 1) ** 2 // 4
     if k in (2, 3, 4, 5, 6):
-        rows.append(ScanRow(k, n, "exact_crossing_number", "exact", exact_crossing_number(k, n), True))
-        rows.append(ScanRow(k, n, "turan_lower", "lower", turan_lower(k, n, ell), True))
+        rows.append(ScanRow(k, m, n, "exact_crossing_number", "exact", exact_crossing_number(k, n), True))
+        rows.append(ScanRow(k, m, n, "turan_lower", "lower", turan_lower(k, n, ell), True))
     width = nonembeddable_width(k)
-    rows.append(ScanRow(k, n, "turan_lower_general_width", "lower", turan_lower(k, n, width - 1), True))
+    rows.append(ScanRow(k, m, n, "turan_lower_general_width", "lower", turan_lower(k, n, width - 1), True))
     if k % 2 == 0:
-        rows.append(ScanRow(k, n, "multiplanar_lower_even", "lower", multiplanar_lower_even(k, n), True))
-    glb = general_lower(k, k + 1, n)
-    rows.append(ScanRow(k, n, glb.source, "lower", glb.value, glb.valid))
+        rows.append(ScanRow(k, m, n, "multiplanar_lower_even", "lower", multiplanar_lower_even(k, n), True))
+    glb = general_lower(k, m, n)
+    rows.append(ScanRow(k, m, n, glb.source, "lower", glb.value, glb.valid))
     lo, hi = asymptotic_bounds(k, n)
-    rows.append(ScanRow(k, n, "asymptotic_lower", "lower", lo, True))
-    rows.append(ScanRow(k, n, "asymptotic_upper", "upper", hi, True))
+    rows.append(ScanRow(k, m, n, "asymptotic_lower", "lower", lo, True))
+    rows.append(ScanRow(k, m, n, "asymptotic_upper", "upper", hi, True))
     if k in (2, 3, 4, 5, 6) and n >= ell:
         # the blow-up of the balanced embedding attains the width-ell bound
-        rows.append(ScanRow(k, n, "blowup_drawing", "upper", turan_lower(k, n, ell), True))
-    rows.append(ScanRow(k, n, "block_cyclic_bound", "upper", block_cyclic_bound(k, k + 1, n), True))
+        rows.append(ScanRow(k, m, n, "blowup_drawing", "upper", turan_lower(k, n, ell), True))
+    rows.append(ScanRow(k, m, n, "block_cyclic_bound", "upper", block_cyclic_bound(k, m, n), True))
     return rows
+
+
+def general_rows(k: int, m: int, n: int) -> list[ScanRow]:
+    """The bound rows for a general K_{m,n}; each row's ``valid`` says whether
+    its formula applies at this k."""
+    glb = general_lower(k, m, n)
+    rv = riskin_value(m, n)
+    return [
+        ScanRow(k, m, n, glb.source, "lower", glb.value, glb.valid),
+        ScanRow(k, m, n, "block_cyclic_bound", "upper", block_cyclic_bound(k, m, n), True),
+        ScanRow(k, m, n, "riskin_value_k1", "exact", rv.value, rv.valid and k == 1),
+        ScanRow(k, m, n, "zarankiewicz_k2", "upper", zarankiewicz(m, n), k == 2),
+    ]
 
 
 def consistency_scan(k_range, n_range) -> ScanReport:

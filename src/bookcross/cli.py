@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import warnings
-from fractions import Fraction
+from contextlib import nullcontext
 
 from . import bounds as bounds_mod
 from .coloring import (
@@ -101,7 +101,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search nodes per layout")
     p.add_argument("--export-cnf", metavar="DIR", help="also write one DIMACS file per layout")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel layout checks")
-    p.add_argument("--log", metavar="FILE", help="JSONL per-layout log; completed layouts are skipped on rerun")
+    p.add_argument("--log", metavar="FILE", help="JSONL per-layout log; not_colorable layouts are skipped on rerun")
 
     p = sub.add_parser("bounds", help="bound table for K_{k+1,n} (2 args) or K_{m,n} (3 args)")
     p.add_argument("params", type=int, nargs="+", metavar="K [M] N")
@@ -179,7 +179,11 @@ def _cmd_crossings(args) -> int:
 
 
 def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
-    """Finished layouts of a ``--log`` file written for the same (m, n, k)."""
+    """Every record of a ``--log`` file written for the same (m, n, k).
+
+    Which records are final is ``verify_positive_crossing``'s decision: it
+    reuses the ``not_colorable`` ones and checks every other layout again.
+    """
     done: dict[str, LayoutLog] = {}
     if not os.path.exists(path):
         return done
@@ -203,8 +207,7 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
                 raise LogFormatError(f"{path}:{lineno}: record is for (m, n, k) = {run}, not {(m, n, k)}")
             if log.verdict not in (COLORABLE, NOT_COLORABLE, BUDGET_EXCEEDED):
                 raise LogFormatError(f"{path}:{lineno}: unknown verdict {log.verdict!r}")
-            if log.verdict != BUDGET_EXCEEDED:  # retry exhausted ones on resume
-                done[log.canonical] = log
+            done[log.canonical] = log
     return done
 
 
@@ -213,16 +216,12 @@ def _cmd_verify(args) -> int:
     result = verify_positive_crossing(
         args.m, args.n, args.k, budget=args.budget, jobs=args.jobs, completed=completed
     )
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
+    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log_fh:
         for log in result.logs:
             line = json.dumps({"m": args.m, "n": args.n, "k": args.k, **log.to_dict()})
             print(line)
             if log_fh:
                 log_fh.write(line + "\n")
-    finally:
-        if log_fh:
-            log_fh.close()
     if args.export_cnf:
         os.makedirs(args.export_cnf, exist_ok=True)
         for log in result.logs:
@@ -241,10 +240,6 @@ def _cmd_verify(args) -> int:
     for s in result.unfinished:
         print(f"unfinished {s}")
     return EXIT_INCONCLUSIVE
-
-
-def _fraction_str(v) -> object:
-    return v if isinstance(v, int) else str(Fraction(v))
 
 
 def _cmd_bounds(args) -> int:
@@ -268,29 +263,8 @@ def _cmd_bounds(args) -> int:
             )
         )
         return EXIT_OK
-    rows = []
-    if m == k + 1:
-        rows = [row.to_dict() for row in bounds_mod.family_rows(k, n)]
-    else:
-        glb = bounds_mod.general_lower(k, m, n)
-        rows.append(
-            {"k": k, "m": m, "n": n, "formula": glb.source, "kind": "lower",
-             "value": _fraction_str(glb.value), "valid": glb.valid}
-        )
-        rows.append(
-            {"k": k, "m": m, "n": n, "formula": "block_cyclic_bound", "kind": "upper",
-             "value": bounds_mod.block_cyclic_bound(k, m, n), "valid": True}
-        )
-        rv = bounds_mod.riskin_value(m, n)
-        rows.append(
-            {"k": k, "m": m, "n": n, "formula": "riskin_value_k1", "kind": "exact",
-             "value": _fraction_str(rv.value), "valid": rv.valid and k == 1}
-        )
-        rows.append(
-            {"k": k, "m": m, "n": n, "formula": "zarankiewicz_k2", "kind": "upper",
-             "value": bounds_mod.zarankiewicz(m, n), "valid": k == 2}
-        )
-    print(json.dumps(rows))
+    rows = bounds_mod.family_rows(k, n) if m == k + 1 else bounds_mod.general_rows(k, m, n)
+    print(json.dumps([row.to_dict() for row in rows]))
     return EXIT_OK
 
 

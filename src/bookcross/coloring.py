@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -445,10 +447,6 @@ def check_layout(canonical: str, k: int, budget: int = DEFAULT_NODE_BUDGET) -> t
     return LayoutLog(canonical, result.status, result.nodes, result.millis), result.assignment
 
 
-def _check_layout_task(args: tuple[str, int, int]) -> tuple[LayoutLog, tuple[int, ...] | None]:
-    return check_layout(*args)
-
-
 def verify_positive_crossing(
     m: int,
     n: int,
@@ -460,52 +458,37 @@ def verify_positive_crossing(
     """Decide whether every k-page drawing of K_{m,n} has a crossing.
 
     Iterates all distinct circular layouts; PROVEN iff each conflict graph is
-    uncolorable with k colors.  Every layout is checked first, then a colorable
-    one REFUTES (its coloring is a page assignment with no crossing).
+    uncolorable with k colors.  Every layout is checked first, then the first
+    colorable one in canonical order REFUTES (its coloring, made in this run,
+    is a page assignment with no crossing).
     ``completed`` maps canonical strings to prior logs so long runs can resume;
+    only NOT_COLORABLE entries are final and reused, so COLORABLE and
+    BUDGET_EXCEEDED layouts are checked again with this ``budget``.
     ``jobs`` must be at least 1; above 1 it fans layouts out to worker
-    processes (the verdict, a conjunction, does not depend on completion
-    order).
+    processes (results come back in canonical order either way).
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     layouts = [c.canonical for c in necklace_classes(m, n)]
-    done: dict[str, LayoutLog] = dict(completed or {})
+    done = {s: log for s, log in (completed or {}).items() if log.verdict == NOT_COLORABLE}
     pending = [s for s in layouts if s not in done]
 
-    witness_colors: dict[str, tuple[int, ...]] = {}
+    pool = None
     if jobs > 1 and len(pending) > 1:
-        import concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor  # lazy: a costly import
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for log, colors in pool.map(
-                _check_layout_task, [(s, k, budget) for s in pending], chunksize=1
-            ):
-                done[log.canonical] = log
-                if colors is not None:
-                    witness_colors[log.canonical] = colors
-    else:
-        for s in pending:
-            log, colors = check_layout(s, k, budget)
-            done[s] = log
-            if colors is not None:
-                witness_colors[s] = colors
-
-    logs = [done[s] for s in layouts]
-    for idx, log in enumerate(logs):
-        if log.verdict != COLORABLE:
-            continue
-        colors = witness_colors.get(log.canonical)
-        if colors is None:
-            # resumed colorable entry: recompute the witness; if the budget
-            # runs out first, the recomputed log leaves the layout unfinished
-            logs[idx], colors = check_layout(log.canonical, k, budget)
-        if colors is not None:
-            witness = coloring_to_drawing(layout_from_string(log.canonical), colors, k)
-            return PipelineResult(m, n, k, REFUTED, tuple(logs), witness=witness)
-    logs = tuple(logs)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    witness = None
+    with pool or nullcontext():
+        for log, colors in (pool.map if pool else map)(check_layout, pending, repeat(k), repeat(budget)):
+            done[log.canonical] = log
+            if witness is None and colors is not None:
+                witness = coloring_to_drawing(layout_from_string(log.canonical), colors, k)
+    logs = tuple(done[s] for s in layouts)
+    if witness is not None:
+        return PipelineResult(m, n, k, REFUTED, logs, witness=witness)
     unfinished = tuple(log.canonical for log in logs if log.verdict == BUDGET_EXCEEDED)
     if unfinished:
         return PipelineResult(m, n, k, INCONCLUSIVE, logs, unfinished=unfinished)

@@ -51,7 +51,7 @@ def vertex_name(v: Vertex) -> str:
 
 def parse_vertex(name: str) -> Vertex:
     """Parse a ``"b<i>"`` / ``"w<j>"`` token; raises DrawingFormatError."""
-    if len(name) < 2 or name[0] not in ("b", "w") or not name[1:].isdigit():
+    if not isinstance(name, str) or len(name) < 2 or name[0] not in ("b", "w") or not name[1:].isdigit():
         raise DrawingFormatError(f"bad vertex token {name!r}")
     return (name[0], int(name[1:]))
 
@@ -261,8 +261,8 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
 #  "edges": [[i, j, p], ...]}
 #
 # ``order`` is the clockwise spine order; each edge triple is
-# (black index, white index, page).  Loaders reject duplicate edges,
-# missing edges, and out-of-range pages.
+# (black index, white index, page), all JSON integers.  Loaders reject other
+# types, duplicate edges, missing edges, and out-of-range vertices or pages.
 # ---------------------------------------------------------------------------
 
 
@@ -278,7 +278,14 @@ def to_json(d: BookDrawing) -> str:
     return json.dumps(doc, separators=(", ", ": "))
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DrawingFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> BookDrawing:
+    """Parse the canonical JSON form; every defect raises DrawingFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -286,33 +293,26 @@ def from_json(text: str) -> BookDrawing:
     if not isinstance(doc, dict):
         raise DrawingFormatError("top-level value must be an object")
     try:
-        m, n, k = int(doc["m"]), int(doc["n"]), int(doc["k"])
+        m, n, k = (_json_int(doc[key], key) for key in ("m", "n", "k"))
         order = doc["order"]
         edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DrawingFormatError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise DrawingFormatError(f"missing field: {exc}") from exc
     if not isinstance(order, list) or not isinstance(edges, list):
         raise DrawingFormatError("'order' and 'edges' must be arrays")
     seq = tuple(parse_vertex(name) for name in order)
-    try:
-        layout = CircularLayout(seq, m, n)
-    except ValueError as exc:
-        raise DrawingFormatError(str(exc)) from exc
     pages: dict[Edge, int] = {}
     for item in edges:
         if not (isinstance(item, list) and len(item) == 3):
             raise DrawingFormatError(f"edge entries must be [i, j, p] triples, got {item!r}")
-        i, j, p = (int(x) for x in item)
-        if not (0 <= i < m and 0 <= j < n):
-            raise DrawingFormatError(f"edge ({i},{j}) out of range for K_{{{m},{n}}}")
-        if not (0 <= p < k):
-            raise DrawingFormatError(f"page {p} out of range for k={k}")
-        if (i, j) in pages:
+        i, j, p = (_json_int(x, "edge entry") for x in item)
+        if (i, j) in pages:  # a dict would silently keep only the last one
             raise DrawingFormatError(f"duplicate edge ({i},{j})")
         pages[(i, j)] = p
-    if len(pages) != m * n:
-        raise DrawingFormatError(f"expected {m * n} edges, got {len(pages)}")
-    return BookDrawing(layout, k, pages)
+    try:
+        return BookDrawing(CircularLayout(seq, m, n), k, pages)
+    except ValueError as exc:
+        raise DrawingFormatError(str(exc)) from exc
 
 
 def permute_pages(d: BookDrawing, perm: list[int]) -> BookDrawing:

@@ -93,16 +93,9 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
     cross_of = conflict_graph(layout).adj  # vertex i*n + j is edge (i, j)
     nedges = len(cross_of)
     order = sorted(range(nedges), key=lambda a: (-cross_of[a].bit_count(), a))
-    remap = {old: new for new, old in enumerate(order)}
-    masks = [0] * nedges
-    for new, old in enumerate(order):
-        w = cross_of[old]
-        acc = 0
-        while w:
-            low = w & -w
-            acc |= 1 << remap[low.bit_length() - 1]
-            w ^= low
-        masks[new] = acc
+    # edge t of the search is vertex order[t]; page masks keep vertex bits
+    masks = [cross_of[v] for v in order]
+    bits = [1 << v for v in order]
 
     page_bits = [0] * k
     nodes = 0
@@ -115,7 +108,7 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
             best = partial
             return
         mask = masks[t]
-        bit = 1 << t
+        bit = bits[t]
         for p in range(min(used + 1, k)):
             nodes += 1
             if nodes > budget:

@@ -189,6 +189,40 @@ class TestBounds:
         sources = {r["formula"] for r in rows}
         assert "block_cyclic_bound" in sources and "general_lower" in sources
 
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (
+                ("3", "10", "10"),
+                [
+                    ["general_lower", "lower", "27", False],
+                    ["block_cyclic_bound", "upper", 144, True],
+                    ["riskin_value_k1", "exact", 1200, False],
+                    ["zarankiewicz_k2", "upper", 400, False],
+                ],
+            ),
+            (
+                ("1", "3", "6"),
+                [
+                    ["general_lower", "lower", "15/4", False],
+                    ["block_cyclic_bound", "upper", 45, True],
+                    ["riskin_value_k1", "exact", 21, True],
+                    ["zarankiewicz_k2", "upper", 6, False],
+                ],
+            ),
+        ],
+        ids=["3_10_10", "1_3_6"],
+    )
+    def test_general_table_json(self, capsys, args, rows):
+        code, out, _ = run(capsys, "bounds", *args)
+        assert code == 0
+        k, m, n = (int(a) for a in args)
+        expected = [
+            {"k": k, "m": m, "n": n, "formula": f, "kind": kind, "value": v, "valid": ok}
+            for f, kind, v, ok in rows
+        ]
+        assert out == json.dumps(expected) + "\n"
+
     def test_scan_flags_known_violation(self, capsys):
         code, out, _ = run(capsys, "bounds", "4", "13", "--scan")
         assert code == 0
@@ -252,6 +286,24 @@ class TestErrors:
         code, _, err = run(capsys, "crossings", str(bad))
         assert code == 65
         assert "malformed" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"m": 0, "n": 1, "k": 0, "order": ["w0"], "edges": []}',
+            '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [["a", 0, 0]]}',
+            '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [[null, 0, 0]]}',
+            '{"m": 1, "n": 1, "k": 1, "order": ["b0", 3], "edges": [[0, 0, 0]]}',
+            '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [[0.7, 0, 0]]}',
+        ],
+        ids=["zero_pages", "string_index", "null_index", "numeric_token", "float_index"],
+    )
+    def test_malformed_drawing_exit_65(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        code, _, err = run(capsys, "crossings", str(bad))
+        assert code == 65
+        assert err.startswith("malformed drawing file:")
 
     def test_missing_file_exit_65(self, capsys):
         code, _, _ = run(capsys, "crossings", "/no/such/file.json")

@@ -22,7 +22,7 @@ from bookcross.coloring import (
     verify_positive_crossing,
 )
 from bookcross.drawings import CircularLayout, count_crossings, edges_cross
-from bookcross.enumeration import enumerate_layouts
+from bookcross.enumeration import enumerate_layouts, layout_from_string
 
 from conftest import random_layout
 
@@ -291,6 +291,23 @@ class TestVerifyPipeline:
         assert serial.status == parallel.status == "proven"
         assert [l.canonical for l in serial.logs] == [l.canonical for l in parallel.logs]
         assert [l.verdict for l in serial.logs] == [l.verdict for l in parallel.logs]
+
+    def test_parallel_refutation_matches_serial(self):
+        serial = verify_positive_crossing(4, 4, 3, jobs=1)
+        parallel = verify_positive_crossing(4, 4, 3, jobs=2)
+        assert serial.status == parallel.status == "refuted"
+        assert [l.canonical for l in serial.logs] == [l.canonical for l in parallel.logs]
+        assert [l.verdict for l in serial.logs] == [l.verdict for l in parallel.logs]
+        assert serial.witness == parallel.witness
+        first = next(l.canonical for l in serial.logs if l.verdict == COLORABLE)
+        assert serial.witness.layout == layout_from_string(first)
+
+    def test_resumed_budget_exceeded_is_retried(self):
+        strings = [lay.to_bitstring() for lay in enumerate_layouts(5, 7)]
+        done = {s: LayoutLog(s, BUDGET_EXCEEDED, 1, 0.0) for s in strings}
+        res = verify_positive_crossing(5, 7, 4, completed=done)
+        assert res.status == "proven"
+        assert all(log.verdict == NOT_COLORABLE for log in res.logs)
 
     def test_resume_skips_completed(self):
         first = verify_positive_crossing(4, 5, 3)
