@@ -12,7 +12,7 @@ Subcommands::
     render FILE -o OUT.svg
 
 Exit codes: 0 success / proven, 1 refuted, 2 inconclusive (budget),
-64 usage error, 65 malformed input file.
+64 usage error, 65 malformed or unreadable input file or unwritable output.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
+from pathlib import Path
 
 from . import bounds as bounds_mod
 from .coloring import (
@@ -123,8 +124,7 @@ def _build_parser() -> _Parser:
 
 
 def _read_drawing(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return from_json(text)
+    return from_json(sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8"))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -304,11 +304,14 @@ def main(argv=None) -> int:
     except DrawingFormatError as exc:
         print(f"malformed drawing file: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}: not found", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA
     except LogFormatError as exc:
         print(f"malformed log file: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"input is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OracleLimitError as exc:
         print(f"oracle limits: {exc}", file=sys.stderr)

@@ -11,9 +11,12 @@ every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from
 Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
 0, 1, 2, ... and new color classes are only introduced in first-use order.
-At desk scale (<= 91 vertices) this is exact, so no spectral or SDP lower
-bound machinery is needed; a maximum clique, omega(g) <= chi(g), does the
-cheap pruning (a sweep over the layout, or exact search for other graphs).
+The search passes its state down by value as bitmasks (the uncolored
+vertices, and per color the vertices with a neighbour of that color), so a
+child costs one OR and backtracking undoes nothing.  At desk scale (<= 91
+vertices) this is exact, so no spectral or SDP lower bound machinery is
+needed; a maximum clique, omega(g) <= chi(g), does the cheap pruning (a
+sweep over the layout, or exact search for other graphs).
 """
 
 from __future__ import annotations
@@ -57,9 +60,6 @@ class ConflictGraph:
     @property
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.vertex_count):
@@ -183,7 +183,10 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
 
     One clique is pre-colored 0,1,2,... and remaining color classes are
     introduced in first-use order; both reductions preserve completeness,
-    so NOT_COLORABLE genuinely means no proper k-coloring exists.
+    so NOT_COLORABLE genuinely means no proper k-coloring exists.  Each node
+    branches on an uncolored vertex seeing the most colors, then of highest
+    degree, then of lowest index.  The search state is passed down by value
+    as bitmasks, so a child ORs one adjacency mask in and nothing is undone.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -197,70 +200,45 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
         return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))
 
     adj = g.adj
-    degree = [g.degree(v) for v in range(nvert)]
+    degree = [mask.bit_count() for mask in adj]
+    # vertices of equal degree, highest degree first
+    tiers = [sum(1 << v for v in range(nvert) if degree[v] == d) for d in sorted(set(degree), reverse=True)]
     color = [-1] * nvert
-    sat_mask = [0] * nvert  # colors present among colored neighbors
-    sat_count = [[0] * k for _ in range(nvert)]  # colored neighbors per color
+    forbid = [0] * k
+    for c, v in enumerate(clique):
+        color[v] = c
+        forbid[c] = adj[v]
     nodes = 0
 
-    def paint(v: int, c: int) -> None:
-        color[v] = c
-        bit = 1 << c
-        w = adj[v]
-        while w:
-            low = w & -w
-            u = low.bit_length() - 1
-            sat_count[u][c] += 1
-            sat_mask[u] |= bit
-            w ^= low
-
-    def unpaint(v: int, c: int) -> None:
-        color[v] = -1
-        w = adj[v]
-        while w:
-            low = w & -w
-            u = low.bit_length() - 1
-            sat_count[u][c] -= 1
-            if sat_count[u][c] == 0:
-                sat_mask[u] &= ~(1 << c)
-            w ^= low
-
-    for c, v in enumerate(clique):
-        paint(v, c)
-
-    def select() -> int:
-        best_v = -1
-        best_key = (-1, -1, 0)
-        for v in range(nvert):
-            if color[v] < 0:
-                key = (sat_mask[v].bit_count(), degree[v], -v)
-                if key > best_key:
-                    best_key = key
-                    best_v = v
-        return best_v
-
-    def extend(remaining: int, used: int) -> bool:
+    def extend(free: int, forbid: list[int], used: int) -> bool:
+        """free: uncolored vertices; forbid[c]: vertices with a neighbour colored c."""
         nonlocal nodes
-        if remaining == 0:
+        if not free:
             return True
-        v = select()
-        limit = min(used + 1, k)  # one fresh color at most
-        allowed = ~sat_mask[v] & ((1 << limit) - 1)
-        while allowed:
-            low = allowed & -allowed
-            c = low.bit_length() - 1
+        sat = [free] + [0] * used  # sat[s]: free vertices that see at least s colors
+        for c in range(used):
+            seen = forbid[c] & free
+            for s in range(c + 1, 0, -1):
+                sat[s] |= sat[s - 1] & seen
+        most = next(mask for mask in reversed(sat) if mask)
+        pick = next(most & tier for tier in tiers if most & tier)
+        low = pick & -pick
+        v = low.bit_length() - 1
+        for c in range(min(used + 1, k)):  # one fresh color at most
+            if forbid[c] & low:
+                continue
             nodes += 1
             if nodes > budget:
                 raise _Budget
-            paint(v, c)
-            if extend(remaining - 1, max(used, c + 1)):
+            color[v] = c
+            child = forbid.copy()
+            child[c] |= adj[v]
+            if extend(free ^ low, child, max(used, c + 1)):
                 return True
-            unpaint(v, c)
-            allowed ^= low
         return False
 
     try:
-        ok = extend(nvert - len(clique), len(clique))
+        ok = extend((1 << nvert) - 1 - sum(1 << v for v in clique), forbid, len(clique))
     except _Budget:
         return ColoringResult(BUDGET_EXCEEDED, None, nodes, _ms(start))
     if not ok:

@@ -309,6 +309,30 @@ class TestErrors:
         code, _, _ = run(capsys, "crossings", "/no/such/file.json")
         assert code == 65
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crossings", "{dir}"],
+            ["render", "{dir}", "-o", "{dir}/out.svg"],
+            ["verify-pagenumber", "3", "3", "2", "--log", "{dir}"],
+            ["construct", "balanced", "3", "-o", "{dir}"],
+            ["verify-pagenumber", "3", "3", "2", "--jobs", "1", "--export-cnf", "{file}"],
+            ["crossings", "{binary}"],
+            ["verify-pagenumber", "3", "3", "2", "--log", "{binary}"],
+        ],
+        ids=["read_dir", "render_dir", "log_dir", "write_dir", "cnf_into_file", "binary_drawing", "binary_log"],
+    )
+    def test_unusable_path_exit_65(self, capsys, tmp_path, argv):
+        # unreadable input and unwritable output are data errors, not
+        # tracebacks with exit 1 (which means "refuted") or usage errors
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "binary").write_bytes(b'\xff\xfe{"m": 1}\n')
+        paths = {name: str(tmp_path / name) for name in ("dir", "file", "binary")}
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 65
+        assert err
+
     def test_unknown_command_exit_64(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64
 

@@ -21,10 +21,23 @@ from bookcross.coloring import (
     solve_dimacs,
     verify_positive_crossing,
 )
-from bookcross.drawings import CircularLayout, count_crossings, edges_cross
+from bookcross.drawings import CircularLayout, count_crossings, edges_cross, to_json
 from bookcross.enumeration import enumerate_layouts, layout_from_string
 
 from conftest import random_layout
+
+# to_json of the K_{6,8} refutation at k=5: the first colorable layout in
+# canonical order and the coloring the search finds on it
+K68_WITNESS = (
+    '{"m": 6, "n": 8, "k": 5, "order": ["w0", "w1", "w2", "w3", "w4", "b0", "b1", "w5", "w6", "w7", "b2", "b3", "b4", "b5"], "edges": ['
+    "[0, 0, 0], [0, 1, 0], [0, 2, 0], [0, 3, 0], [0, 4, 0], [0, 5, 2], [0, 6, 2], [0, 7, 2], "
+    "[1, 0, 0], [1, 1, 1], [1, 2, 1], [1, 3, 1], [1, 4, 1], [1, 5, 0], [1, 6, 1], [1, 7, 1], "
+    "[2, 0, 1], [2, 1, 1], [2, 2, 2], [2, 3, 2], [2, 4, 2], [2, 5, 3], [2, 6, 3], [2, 7, 0], "
+    "[3, 0, 1], [3, 1, 2], [3, 2, 2], [3, 3, 3], [3, 4, 3], [3, 5, 3], [3, 6, 4], [3, 7, 0], "
+    "[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 3], [4, 4, 4], [4, 5, 4], [4, 6, 4], [4, 7, 0], "
+    "[5, 0, 0], [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 4], [5, 5, 0], [5, 6, 0], [5, 7, 0]"
+    "]}"
+)
 
 
 def graph_from_edges(nvert, edges):
@@ -327,6 +340,27 @@ class TestVerifyPipeline:
         assert res.unfinished
         by_string = {log.canonical: log.verdict for log in res.logs}
         assert all(by_string[s] == BUDGET_EXCEEDED for s in res.unfinished)
+
+    @pytest.mark.parametrize(
+        "m, n, k, status, nodes",
+        [
+            (4, 4, 3, "refuted", 52),
+            (4, 5, 3, "proven", 26),
+            (5, 7, 4, "proven", 138),
+            (6, 8, 5, "refuted", 3049),
+            (6, 10, 5, "proven", 1536),
+        ],
+    )
+    def test_search_nodes_pinned(self, m, n, k, status, nodes):
+        # the DSATUR order (saturation, then degree, then lowest index), the
+        # clique pre-coloring and the first-use color rule fix these totals
+        res = verify_positive_crossing(m, n, k)
+        assert res.status == status
+        assert sum(log.nodes for log in res.logs) == nodes
+
+    def test_k68_witness_pinned(self):
+        res = verify_positive_crossing(6, 8, 5)
+        assert to_json(res.witness) == K68_WITNESS
 
     def test_refuted_witness_converts_coloring(self):
         lay = CircularLayout.of(
