@@ -213,17 +213,22 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
 
 def _cmd_verify(args) -> int:
     completed = _load_log(args.log, args.m, args.n, args.k) if args.log else {}
-    result = verify_positive_crossing(
-        args.m, args.n, args.k, budget=args.budget, jobs=args.jobs, completed=completed
-    )
-    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log_fh:
+    # both outputs are opened before the run, so an unusable path fails at
+    # once; appending keeps an existing log intact until the run has ended
+    if args.export_cnf:
+        os.makedirs(args.export_cnf, exist_ok=True)
+    with open(args.log, "a", encoding="utf-8") if args.log else nullcontext() as log_fh:
+        result = verify_positive_crossing(
+            args.m, args.n, args.k, budget=args.budget, jobs=args.jobs, completed=completed
+        )
+        if log_fh:
+            log_fh.truncate(0)
         for log in result.logs:
             line = json.dumps({"m": args.m, "n": args.n, "k": args.k, **log.to_dict()})
             print(line)
             if log_fh:
                 log_fh.write(line + "\n")
     if args.export_cnf:
-        os.makedirs(args.export_cnf, exist_ok=True)
         for log in result.logs:
             g = conflict_graph(layout_from_string(log.canonical))
             name = os.path.join(args.export_cnf, f"layout_{log.canonical}_k{args.k}.cnf")

@@ -95,27 +95,53 @@ def conflict_graph(layout: CircularLayout) -> ConflictGraph:
 def _crossing_chain(layout: CircularLayout) -> list[int]:
     """A largest set of pairwise-crossing chords (lo, hi): ordered by lo, both
     ends rise strictly and all straddle one spine cut p (lo <= p < hi), so per
-    cut it is a longest strictly increasing run of hi over the chords sorted
-    by (lo, -hi), the tie-break keeping chords with a shared left end apart."""
-    n = layout.n
-    chords = sorted(
-        (min(x, y), -max(x, y), i * n + j)
-        for i, x in enumerate(layout.black_positions)
-        for j, y in enumerate(layout.white_positions)
-    )
+    cut it is a longest strictly increasing run of hi over the chords in
+    (lo, -hi) order, the tie-break keeping chords with a shared left end
+    apart.  The first cut that reaches the maximum gives the run.
+
+    A run has distinct left ends in 0..p and distinct right ends above p, and
+    each chord joins a black to a white.  With bl blacks and wl whites in
+    0..p, a run is thus at most min(bl, n - wl) + min(wl, m - bl) long, and a
+    cut whose bound is at most len(best) is skipped: only a strictly longer
+    run replaces best, so skipping it leaves the result as it was."""
+    m, n, seq = layout.m, layout.n, layout.seq
+    part = [i * n if c == "b" else i for c, i in seq]  # a chord's vertex i*n + j is the sum at its ends
+    opposite: dict[str, list[int]] = {"b": [], "w": []}  # per colour, the other colour's positions descending
+    for p in reversed(range(len(seq))):
+        opposite["w" if seq[p][0] == "b" else "b"].append(p)
+    chords = [(lo, hi, part[lo] + part[hi]) for lo, (c, _) in enumerate(seq) for hi in opposite[c] if hi > lo]
     best: list[int] = []
-    for p in range(len(layout.seq)):
+    prev = [-1] * (m * n)  # prev[v]: the vertex before v in its run at the current cut
+    bl = wl = 0
+    for p, (c, _) in enumerate(seq):
+        if c == "b":
+            bl += 1
+        else:
+            wl += 1
+        if min(bl, n - wl) + min(wl, m - bl) <= len(best):
+            continue
         tails: list[int] = []  # least hi ending a run of each length
-        runs: list[list[int]] = [[]]  # runs[r + 1]: the vertices of that run
-        for hi, v in [(-neg_hi, v) for lo, neg_hi, v in chords if lo <= p < -neg_hi]:
+        ends: list[int] = []  # ends[r]: the vertex with hi tails[r]
+        for lo, hi, v in chords:
+            if lo > p:
+                break
+            if hi <= p:
+                continue
             r = bisect_left(tails, hi)
+            prev[v] = ends[r - 1] if r else -1
             if r == len(tails):
                 tails.append(hi)
-                runs.append(runs[r] + [v])
+                ends.append(v)
             else:
                 tails[r] = hi
-                runs[r + 1] = runs[r] + [v]
-        best = max(best, runs[-1], key=len)
+                ends[r] = v
+        if len(ends) > len(best):
+            best = []
+            v = ends[-1]
+            while v >= 0:
+                best.append(v)
+                v = prev[v]
+            best.reverse()
     return best
 
 

@@ -1,6 +1,7 @@
 """Shared reference implementations (kept independent of the fast paths)."""
 
 import random
+from bisect import bisect_left
 
 from bookcross.drawings import BookDrawing, CircularLayout, edges_cross
 
@@ -27,3 +28,34 @@ def random_drawing(rng: random.Random, m: int, n: int, k: int) -> BookDrawing:
     layout = random_layout(rng, m, n)
     pages = {(i, j): rng.randrange(k) for i in range(m) for j in range(n)}
     return BookDrawing(layout, k, pages)
+
+
+# A plain form of the crossing-chain sweep, kept as the reference: it sorts the
+# chords, filters them again at every cut and copies a run per chord.
+# ``find_clique`` must return exactly its list on a conflict graph, since
+# DSATUR pre-colors that clique.
+def reference_crossing_chain(layout: CircularLayout) -> list[int]:
+    """A largest set of pairwise-crossing chords (lo, hi): ordered by lo, both
+    ends rise strictly and all straddle one spine cut p (lo <= p < hi), so per
+    cut it is a longest strictly increasing run of hi over the chords sorted
+    by (lo, -hi), the tie-break keeping chords with a shared left end apart."""
+    n = layout.n
+    chords = sorted(
+        (min(x, y), -max(x, y), i * n + j)
+        for i, x in enumerate(layout.black_positions)
+        for j, y in enumerate(layout.white_positions)
+    )
+    best: list[int] = []
+    for p in range(len(layout.seq)):
+        tails: list[int] = []  # least hi ending a run of each length
+        runs: list[list[int]] = [[]]  # runs[r + 1]: the vertices of that run
+        for hi, v in [(-neg_hi, v) for lo, neg_hi, v in chords if lo <= p < -neg_hi]:
+            r = bisect_left(tails, hi)
+            if r == len(tails):
+                tails.append(hi)
+                runs.append(runs[r] + [v])
+            else:
+                tails[r] = hi
+                runs[r + 1] = runs[r] + [v]
+        best = max(best, runs[-1], key=len)
+    return best

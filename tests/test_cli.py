@@ -155,6 +155,19 @@ class TestVerifyPagenumber:
         code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "4", "--jobs", "1")
         assert code == 1
 
+    def test_failed_run_keeps_log(self, capsys, tmp_path):
+        log = tmp_path / "run.jsonl"
+        code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
+        assert code == 0
+        first = log.read_bytes()
+        code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "0", "--log", str(log))
+        assert code == 64
+        assert log.read_bytes() == first
+        # a finished rerun replaces the records rather than appending to them
+        code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
+        assert code == 0
+        assert len(log.read_text().splitlines()) == 10
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -319,19 +332,29 @@ class TestErrors:
             ["verify-pagenumber", "3", "3", "2", "--jobs", "1", "--export-cnf", "{file}"],
             ["crossings", "{binary}"],
             ["verify-pagenumber", "3", "3", "2", "--log", "{binary}"],
+            ["verify-pagenumber", "3", "3", "2", "--log", "{dir}/missing/run.jsonl"],
         ],
-        ids=["read_dir", "render_dir", "log_dir", "write_dir", "cnf_into_file", "binary_drawing", "binary_log"],
+        ids=[
+            "read_dir", "render_dir", "log_dir", "write_dir", "cnf_into_file", "binary_drawing", "binary_log",
+            "log_in_missing_dir",
+        ],
     )
-    def test_unusable_path_exit_65(self, capsys, tmp_path, argv):
+    def test_unusable_path_exit_65(self, capsys, monkeypatch, tmp_path, argv):
         # unreadable input and unwritable output are data errors, not
-        # tracebacks with exit 1 (which means "refuted") or usage errors
+        # tracebacks with exit 1 (which means "refuted") or usage errors,
+        # and verify-pagenumber reports them before it checks any layout
+        def no_run(*args, **kwargs):
+            pytest.fail("verify_positive_crossing ran before the paths were checked")
+
+        monkeypatch.setattr("bookcross.cli.verify_positive_crossing", no_run)
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_text("x")
         (tmp_path / "binary").write_bytes(b'\xff\xfe{"m": 1}\n')
         paths = {name: str(tmp_path / name) for name in ("dir", "file", "binary")}
-        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 65
         assert err
+        assert out == ""
 
     def test_unknown_command_exit_64(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64

@@ -24,7 +24,7 @@ from bookcross.coloring import (
 from bookcross.drawings import CircularLayout, count_crossings, edges_cross, to_json
 from bookcross.enumeration import enumerate_layouts, layout_from_string
 
-from conftest import random_layout
+from conftest import random_layout, reference_crossing_chain
 
 # to_json of the K_{6,8} refutation at k=5: the first colorable layout in
 # canonical order and the coloring the search finds on it
@@ -154,6 +154,18 @@ class TestClique:
             assert all((g.adj[u] >> v) & 1 for u, v in itertools.combinations(clique, 2))
             decided += len(clique) > 5
         assert decided == 235
+
+    @pytest.mark.parametrize(
+        "m, n, k, decided", [(5, 7, 4, 26), (6, 10, 5, 235), (7, 12, 6, 1141), (7, 13, 6, 1828)]
+    )
+    def test_sweep_matches_reference(self, m, n, k, decided):
+        # the same vertices in the same order: DSATUR pre-colors this clique
+        count = 0
+        for lay in enumerate_layouts(m, n):
+            clique = find_clique(conflict_graph(lay))
+            assert clique == reference_crossing_chain(lay)
+            count += len(clique) > k
+        assert count == decided
 
 
 class TestIsKColorable:
