@@ -261,6 +261,9 @@ def family_rows(k: int, n: int) -> list[ScanRow]:
 def general_rows(k: int, m: int, n: int) -> list[ScanRow]:
     """The bound rows for a general K_{m,n}; each row's ``valid`` says whether
     its formula applies at this k."""
+    for name, value in (("m", m), ("n", n)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     glb = general_lower(k, m, n)
     rv = riskin_value(m, n)
     return [

@@ -7,7 +7,7 @@ Subcommands::
     construct {balanced k | blowup k n | block-cyclic m n k | riskin m n} [-o FILE]
     crossings FILE              (FILE = '-' reads stdin)
     verify-pagenumber m n k [--budget N] [--export-cnf DIR] [--jobs J] [--log FILE]
-    bounds k [m] n [--scan]
+    bounds k n [--scan] | bounds k m n
     oracle m n k
     render FILE -o OUT.svg
 
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="bound table for K_{k+1,n} (2 args) or K_{m,n} (3 args)")
     p.add_argument("params", type=int, nargs="+", metavar="K [M] N")
-    p.add_argument("--scan", action="store_true", help="consistency scan over 1..n instead of a table")
+    p.add_argument("--scan", action="store_true", help="consistency scan over 1..n instead of a table (K N only)")
 
     p = sub.add_parser("oracle", help="brute-force minimum crossings on a tiny instance")
     p.add_argument("m", type=int)
@@ -256,6 +256,9 @@ def _cmd_bounds(args) -> int:
         k, m, n = params
     else:
         print("bounds expects 2 or 3 integers: K N or K M N", file=sys.stderr)
+        return EXIT_USAGE
+    if args.scan and len(params) == 3:
+        print("bounds --scan takes K N: it scans the K_{k+1,n} family only", file=sys.stderr)
         return EXIT_USAGE
     if args.scan:
         report = bounds_mod.consistency_scan([k], range(1, n + 1))

@@ -6,7 +6,7 @@ are adjacent iff the edges cross when drawn on a single page.  A layout
 extends to a crossing-free k-page drawing iff its conflict graph is
 k-colorable (colors = pages), so "no layout is k-colorable" certifies that
 every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from
-``drawings.half_interleaving``, the one vectorized crossing kernel.
+``drawings.half_interleaving``, the vectorized pairwise crossing kernel.
 
 Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
@@ -75,7 +75,7 @@ class ConflictGraph:
 
 
 def conflict_graph(layout: CircularLayout) -> ConflictGraph:
-    """Build the conflict graph of a layout through the crossing kernel."""
+    """Build the conflict graph of a layout through the pairwise crossing kernel."""
     m, n = layout.m, layout.n
     bpos = np.asarray(layout.black_positions, dtype=np.int64)
     wpos = np.asarray(layout.white_positions, dtype=np.int64)
@@ -439,9 +439,7 @@ class PipelineResult:
 
 def coloring_to_drawing(layout: CircularLayout, colors: Sequence[int], k: int) -> BookDrawing:
     """Interpret a proper conflict-graph coloring as a page assignment."""
-    n = layout.n
-    pages = {(i, j): colors[i * n + j] for i in range(layout.m) for j in range(n)}
-    return BookDrawing(layout, k, pages)
+    return BookDrawing(layout, k, np.reshape(colors, (layout.m, layout.n)))
 
 
 def check_layout(canonical: str, k: int, budget: int = DEFAULT_NODE_BUDGET) -> tuple[LayoutLog, tuple[int, ...] | None]:

@@ -13,22 +13,25 @@ Four constructions:
   alternately on the circle, page i taking the group products with index sum i.
 
 Balanced-embedding edge rules (the six families below) place windows of
-consecutive white vertices onto single black vertices.  Every window already
-falls inside [0, s*t) for every k, so the modular reduction on white indices
-never wraps; block indices reduce mod t and black indices mod s+t.
+consecutive white vertices onto single black vertices.  Every window falls
+inside [0, s*t) for every k, so each is one slice of a row of the page
+array; block indices reduce mod t and black indices mod s+t.
 Correctness is not taken on faith: every constructed embedding is validated
 (each edge placed exactly once, zero crossings, balanced loads) and a
 violation raises ConstructionError.
 
-Crossings are counted by ``drawings.count_crossings`` through the one
-crossing kernel.  The ``*_crossing_count`` functions keep their names but
-delegate to ``bounds``, which owns every closed form.
+Each construction fills an m x n page array, which becomes the drawing's
+pages; crossings are counted by ``drawings.count_crossings``.  The
+``*_crossing_count`` functions keep their names but delegate to ``bounds``,
+which owns every closed form.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bounds import block_cyclic_bound, riskin_value, turan_lower
 from .drawings import (
@@ -69,8 +72,7 @@ def riskin_drawing(m: int, n: int) -> BookDrawing:
             seq.append(("w", w))
             w += 1
     layout = CircularLayout(tuple(seq), m, n)
-    pages = {(i, j): 0 for i in range(m) for j in range(n)}
-    return BookDrawing(layout, 1, pages)
+    return BookDrawing(layout, 1, np.zeros((m, n), dtype=np.int64))
 
 
 def riskin_crossing_count(m: int, n: int) -> int:
@@ -137,17 +139,20 @@ def balanced_embedding(k: int) -> BookDrawing:
             seq.append(("b", s + i + 1))
     layout = CircularLayout(tuple(seq), m, st)
 
-    pages: dict[tuple[int, int], int] = {}
+    pages = np.full((m, st), -1, dtype=np.int64)  # -1: not yet placed
 
-    def put(bi: int, wj: int, page: int) -> None:
-        e = (bi % m, wj % st)
-        if e in pages:
-            raise ConstructionError(f"edge {e} assigned twice (pages {pages[e]} and {page})")
-        pages[e] = page
+    def put(bi: int, lo: int, hi: int, page: int) -> None:
+        """Place the edges from black bi to whites lo..hi-1 on ``page``."""
+        row = pages[bi % m]
+        placed = row[lo:hi] >= 0
+        if placed.any():
+            x = lo + int(np.argmax(placed))
+            raise ConstructionError(f"edge {(bi % m, x)} assigned twice (pages {row[x]} and {page})")
+        row[lo:hi] = page
 
     def put_block(bi: int, block: int, page: int) -> None:
-        for x in params.white_block(block):
-            put(bi, x, page)
+        whites = params.white_block(block)
+        put(bi, whites.start, whites.stop, page)
 
     for r in range(s):
         # family I: fan of whole blocks onto the late blacks
@@ -156,11 +161,9 @@ def balanced_embedding(k: int) -> BookDrawing:
         # family II: sliding windows of s whites onto b_1..b_r
         for i in range(1, r + 1):
             lo = r * s - i * (s - 1)
-            for x in range(lo, lo + s):
-                put(i, x, r)
+            put(i, lo, lo + s, r)
         # family III: prefix w_0..w_r onto b_{r+1}
-        for x in range(r + 1):
-            put(r + 1, x, r)
+        put(r + 1, 0, r + 1, r)
 
     for r in range(s, s + t - 1):
         # family IV: whole blocks onto b_s..b_{r+1}
@@ -169,14 +172,13 @@ def balanced_embedding(k: int) -> BookDrawing:
         # family V: sliding windows of s whites onto b_{s-1}, b_{s-2}, ...
         for i in range(1, s - r + t - 1):
             lo = (i + r - s + 1) * s - i
-            for x in range(lo, lo + s):
-                put(s - i, x, r)
+            put(s - i, lo, lo + s, r)
         # family VI: suffix onto b_{r-t+1}
-        for x in range(st - t + r - s + 1, st):
-            put(r - t + 1, x, r)
+        put(r - t + 1, st - t + r - s + 1, st, r)
 
-    if len(pages) != m * st:
-        raise ConstructionError(f"{len(pages)} edges assigned, expected {m * st}")
+    placed = int(np.count_nonzero(pages >= 0))
+    if placed != m * st:
+        raise ConstructionError(f"{placed} edges assigned, expected {m * st}")
     drawing = BookDrawing(layout, k, pages)
     if not is_balanced_embedding(drawing):
         raise ConstructionError(f"k={k} construction failed the balance/planarity check")
@@ -210,12 +212,9 @@ def blowup(base: BookDrawing, n: int) -> BookDrawing:
         else:
             seq.extend(("w", offset[idx] + copy) for copy in range(cluster[idx]))
     layout = CircularLayout(tuple(seq), base.m, n)
-
-    pages: dict[tuple[int, int], int] = {}
-    for (i, j), p in base.pages.items():
-        for copy in range(cluster[j]):
-            pages[(i, offset[j] + copy)] = p
-    return BookDrawing(layout, base.k, pages)
+    # white offset[j] + copy is a copy of base white j
+    source = np.repeat(np.arange(ell), cluster)
+    return BookDrawing(layout, base.k, base.page_array[:, source])
 
 
 def blowup_crossing_count(k: int, n: int) -> int:
@@ -242,28 +241,19 @@ def block_cyclic(m: int, n: int, k: int) -> BookDrawing:
         raise ValueError("k must be positive")
     p, r = divmod(m, k)
     q, s = divmod(n, k)
-    b_groups: list[range] = []
-    w_groups: list[range] = []
+    bsizes = [p + 1 if g >= k - r else p for g in range(k)]
+    wsizes = [q + 1 if g >= k - s else q for g in range(k)]
     seq: list[tuple[str, int]] = []
     bi = wi = 0
-    for g in range(k):
-        bsize = p + 1 if g >= k - r else p
-        wsize = q + 1 if g >= k - s else q
-        b_groups.append(range(bi, bi + bsize))
-        w_groups.append(range(wi, wi + wsize))
-        seq.extend(("b", i) for i in b_groups[g])
-        seq.extend(("w", j) for j in w_groups[g])
+    for bsize, wsize in zip(bsizes, wsizes):
+        seq.extend(("b", i) for i in range(bi, bi + bsize))
+        seq.extend(("w", j) for j in range(wi, wi + wsize))
         bi += bsize
         wi += wsize
     layout = CircularLayout(tuple(seq), m, n)
-    pages: dict[tuple[int, int], int] = {}
-    for j in range(k):
-        for t in range(k):
-            page = (j + t) % k
-            for i in b_groups[j]:
-                for jj in w_groups[t]:
-                    pages[(i, jj)] = page
-    return BookDrawing(layout, k, pages)
+    bgroup = np.repeat(np.arange(k), bsizes)
+    wgroup = np.repeat(np.arange(k), wsizes)
+    return BookDrawing(layout, k, (bgroup[:, None] + wgroup[None, :]) % k)
 
 
 def block_cyclic_crossing_count(m: int, n: int, k: int) -> int:

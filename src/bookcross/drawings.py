@@ -10,22 +10,26 @@ black vertex (the part of size m) and ``("w", j)`` for the j-th white vertex
 (the part of size n).  Positions on the circle are a separate concept, so
 constructions can be phrased in either frame.
 
-``half_interleaving`` is the one vectorized crossing kernel: both
-``count_crossings`` and ``coloring.conflict_graph`` go through it, while the
-scalar ``edges_cross`` stays as the independent reference.  Closed-form
-crossing totals live in ``bounds``.
+A ``BookDrawing`` keeps its pages as an m x n integer array, entry [i, j]
+holding the page of the edge joining black i to white j; ``pages`` reads that
+array as a mapping from edges to pages.
 
-All arithmetic is exact Python integer arithmetic; the vectorized counting
-path only produces counts bounded by the number of edge pairs, far below
-int64 range for any m, n <= 10**4.
+``count_crossings`` counts each page with one sorted sweep over its chords.
+``half_interleaving`` is the vectorized pairwise kernel behind
+``coloring.conflict_graph``, and the scalar ``edges_cross`` stays as the
+independent reference for both.  Closed-form crossing totals live in
+``bounds``.  Every count is an exact Python integer.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -119,25 +123,81 @@ class CircularLayout:
         return "".join("1" if c == "b" else "0" for c, _ in self.seq)
 
 
-@dataclass
+class PageMap(Mapping):
+    """Read-only view of an m x n page array as a mapping from edge (i, j) to
+    its page, in row-major edge order."""
+
+    __slots__ = ("_array",)
+
+    def __init__(self, array: np.ndarray):
+        self._array = array
+
+    def __getitem__(self, edge: Edge) -> int:
+        m, n = self._array.shape
+        try:
+            i, j = edge
+            if 0 <= i < m and 0 <= j < n:
+                return int(self._array[i, j])
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(edge)
+
+    def __iter__(self) -> Iterator[Edge]:
+        m, n = self._array.shape
+        return product(range(m), range(n))
+
+    def __len__(self) -> int:
+        return self._array.size
+
+
+def _page_array(pages: Mapping[Edge, int] | np.ndarray, m: int, n: int) -> np.ndarray:
+    """An int64 copy of ``pages`` shaped m x n, with every edge placed once."""
+    if not isinstance(pages, Mapping):
+        given = np.asarray(pages)
+        if given.shape != (m, n):
+            raise ValueError(f"expected a {m}x{n} page array, got shape {given.shape}")
+        if given.dtype.kind not in "iu":
+            raise ValueError(f"page array must hold integers, got {given.dtype}")
+        return given.astype(np.int64)
+    if len(pages) != m * n:
+        raise ValueError(f"expected {m * n} edges, got {len(pages)}")
+    try:
+        edges = np.array(list(pages), dtype=np.int64).reshape(len(pages), 2)
+        values = np.fromiter(pages.values(), dtype=np.int64, count=len(pages))
+    except OverflowError:
+        raise ValueError("edge index or page out of range: beyond 64-bit integers") from None
+    i, j = edges.T
+    outside = (i < 0) | (i >= m) | (j < 0) | (j >= n)
+    if outside.any():
+        bi, bj = edges[np.argmax(outside)].tolist()
+        raise ValueError(f"edge ({bi},{bj}) out of range for K_{{{m},{n}}}")
+    # distinct keys, all in range, m*n of them: every edge is placed once
+    array = np.empty((m, n), dtype=np.int64)
+    array[i, j] = values
+    return array
+
+
 class BookDrawing:
-    """A CircularLayout plus a page for every edge of K_{m,n}."""
+    """A CircularLayout plus a page for every edge of K_{m,n}.
 
-    layout: CircularLayout
-    k: int
-    pages: dict[Edge, int]
+    ``pages`` is a mapping from every edge (i, j) to its page, or an m x n
+    integer array.  The drawing keeps a read-only int64 copy as
+    ``page_array``; ``pages`` reads it back as a mapping.
+    """
 
-    def __post_init__(self):
-        if self.k < 1:
+    __slots__ = ("layout", "k", "page_array")
+
+    def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
+        if k < 1:
             raise ValueError("page count k must be >= 1")
-        m, n = self.layout.m, self.layout.n
-        if len(self.pages) != m * n:
-            raise ValueError(f"expected {m * n} edges, got {len(self.pages)}")
-        for (i, j), p in self.pages.items():
-            if not (0 <= i < m and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for K_{{{m},{n}}}")
-            if not (0 <= p < self.k):
-                raise ValueError(f"page {p} out of range for k={self.k}")
+        array = _page_array(pages, layout.m, layout.n)
+        outside = (array < 0) | (array >= k)
+        if outside.any():
+            raise ValueError(f"page {int(array.flat[np.argmax(outside)])} out of range for k={k}")
+        array.flags.writeable = False
+        self.layout = layout
+        self.k = k
+        self.page_array = array
 
     @property
     def m(self) -> int:
@@ -146,6 +206,25 @@ class BookDrawing:
     @property
     def n(self) -> int:
         return self.layout.n
+
+    @property
+    def pages(self) -> PageMap:
+        return PageMap(self.page_array)
+
+    def __eq__(self, other):
+        if not isinstance(other, BookDrawing):
+            return NotImplemented
+        return (
+            self.layout == other.layout
+            and self.k == other.k
+            and np.array_equal(self.page_array, other.page_array)
+        )
+
+    def __reduce__(self):
+        return (BookDrawing, (self.layout, self.k, self.page_array))
+
+    def __repr__(self) -> str:
+        return f"BookDrawing(layout={self.layout!r}, k={self.k}, page_array={self.page_array.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -185,45 +264,47 @@ def edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
     return (((c - a) % nverts < span) != ((d - a) % nverts < span))
 
 
-def half_interleaving(lo: np.ndarray, hi: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """The crossing kernel: ``out[r, c]`` is True iff lo[i] < lo[c] < hi[i] < hi[c]
-    for the r-th chord i of ``rows``; chords are linear positions lo < hi.
+def half_interleaving(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The pairwise crossing kernel: ``out[i, c]`` is True iff
+    lo[i] < lo[c] < hi[i] < hi[c]; chords are linear positions lo < hi.
 
     A crossing pair passes in exactly one orientation, so the full relation is
     the matrix OR its transpose.  Strict inequalities keep chords that share
     an endpoint apart.
     """
-    lo_r = lo[rows, None]
-    hi_r = hi[rows, None]
+    lo_r = lo[:, None]
+    hi_r = hi[:, None]
     return (lo_r < lo) & (lo < hi_r) & (hi_r < hi)
 
 
 def count_crossings(d: BookDrawing) -> CrossingReport:
     """Exact per-page and total crossing counts of a book drawing.
 
-    Each page is counted through ``half_interleaving`` in row chunks, which
-    keeps memory bounded for large pages.
+    One sweep over the chords (lo, hi) in (page, lo, -hi) order, keeping the
+    sorted right ends of the chords already seen on the page.  A chord
+    crosses exactly the earlier chords whose right end lies strictly inside
+    (lo, hi): they all start at or before lo, and the -hi tie order puts the
+    chords that share its left end among those ending at or after hi.  The
+    strict bounds keep chords that share an endpoint apart.
     """
-    bpos = d.layout.black_positions
-    wpos = d.layout.white_positions
-    lo_by_page: list[list[int]] = [[] for _ in range(d.k)]
-    hi_by_page: list[list[int]] = [[] for _ in range(d.k)]
-    for (i, j), p in d.pages.items():
-        x = bpos[i]
-        y = wpos[j]
-        if x > y:
-            x, y = y, x
-        lo_by_page[p].append(x)
-        hi_by_page[p].append(y)
+    bpos = np.asarray(d.layout.black_positions, dtype=np.int64)
+    wpos = np.asarray(d.layout.white_positions, dtype=np.int64)
+    lo = np.minimum.outer(bpos, wpos).ravel()
+    hi = np.maximum.outer(bpos, wpos).ravel()
+    page = d.page_array.ravel()
+    order = np.lexsort((-hi, lo, page))
+    los = lo[order].tolist()
+    his = hi[order].tolist()
     per_page = []
-    for lo_list, hi_list in zip(lo_by_page, hi_by_page):
-        lo = np.asarray(lo_list, dtype=np.int64)
-        hi = np.asarray(hi_list, dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(len(lo), 1))
-        per_page.append(sum(
-            int(np.count_nonzero(half_interleaving(lo, hi, slice(r, r + chunk))))
-            for r in range(0, len(lo), chunk)
-        ))
+    start = 0
+    for size in np.bincount(page, minlength=d.k).tolist():
+        ends: list[int] = []
+        crossings = 0
+        for a, b in zip(los[start:start + size], his[start:start + size]):
+            crossings += bisect_left(ends, b) - bisect_right(ends, a)
+            insort(ends, b)
+        per_page.append(crossings)
+        start += size
     return CrossingReport(sum(per_page), tuple(per_page))
 
 
@@ -234,10 +315,7 @@ def page_loads(d: BookDrawing, w: int) -> list[int]:
     """
     if not (0 <= w < d.n):
         raise ValueError(f"white vertex {w} out of range for n={d.n}")
-    loads = [0] * d.k
-    for i in range(d.m):
-        loads[d.pages[(i, w)]] += 1
-    return loads
+    return np.bincount(d.page_array[:, w], minlength=d.k).tolist()
 
 
 def is_balanced_embedding(d: BookDrawing) -> bool:
@@ -248,10 +326,10 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
         raise ValueError(f"balanced embeddings have m = k+1 black vertices, got m={d.m}, k={d.k}")
     if count_crossings(d).total != 0:
         return False
-    for w in range(d.n):
-        if sorted(page_loads(d, w)) != [1] * (d.k - 1) + [2]:
-            return False
-    return True
+    # loads[w*k + p] is white w's load on page p; the k loads of a white
+    # vertex sum to k+1, so all of them are >= 1 iff one is 2 and the rest 1
+    loads = np.bincount((d.page_array + d.k * np.arange(d.n)).ravel(), minlength=d.n * d.k)
+    return bool(np.all(loads >= 1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +345,12 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
 
 
 def to_json(d: BookDrawing) -> str:
-    edges = sorted((i, j, p) for (i, j), p in d.pages.items())
     doc = {
         "m": d.m,
         "n": d.n,
         "k": d.k,
         "order": [vertex_name(v) for v in d.layout.seq],
-        "edges": [list(e) for e in edges],
+        "edges": [[i, j, p] for i, row in enumerate(d.page_array.tolist()) for j, p in enumerate(row)],
     }
     return json.dumps(doc, separators=(", ", ": "))
 
@@ -319,5 +396,5 @@ def permute_pages(d: BookDrawing, perm: list[int]) -> BookDrawing:
     """Drawing with page indices relabeled by ``perm`` (a permutation of 0..k-1)."""
     if sorted(perm) != list(range(d.k)):
         raise ValueError("perm must be a permutation of 0..k-1")
-    return BookDrawing(d.layout, d.k, {e: perm[p] for e, p in d.pages.items()})
+    return BookDrawing(d.layout, d.k, np.asarray(perm)[d.page_array])
 

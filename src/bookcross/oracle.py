@@ -72,16 +72,13 @@ def _construction_incumbent(m: int, n: int, k: int) -> tuple[int, BookDrawing]:
                 if swap:
                     d = _transpose(d)
                 candidates.append(d)
-    best = min(candidates, key=lambda d: count_crossings(d).total)
-    return count_crossings(best).total, best
+    return min(((count_crossings(d).total, d) for d in candidates), key=lambda pair: pair[0])
 
 
 def _transpose(d: BookDrawing) -> BookDrawing:
     """Swap the two color classes (K_{m,n} is isomorphic to K_{n,m})."""
     seq = tuple(("w", i) if c == "b" else ("b", i) for c, i in d.layout.seq)
-    layout = CircularLayout(seq, d.layout.n, d.layout.m)
-    pages = {(j, i): p for (i, j), p in d.pages.items()}
-    return BookDrawing(layout, d.k, pages)
+    return BookDrawing(CircularLayout(seq, d.layout.n, d.layout.m), d.k, d.page_array.T)
 
 
 def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> tuple[int, int]:

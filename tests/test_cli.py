@@ -248,6 +248,23 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "3")
         assert code == 64
 
+    def test_zero_m_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "3", "0", "4")
+        assert code == 64
+        assert out == ""
+        assert "m must be positive" in err and "Traceback" not in err
+
+    def test_negative_m_is_named(self, capsys):
+        code, _, err = run(capsys, "bounds", "3", "-1", "4")
+        assert code == 64
+        assert "m must be positive, got -1" in err
+
+    def test_scan_rejects_three_parameters(self, capsys):
+        code, out, err = run(capsys, "bounds", "3", "0", "4", "--scan")
+        assert code == 64
+        assert out == ""
+        assert "--scan" in err
+
 
 class TestOracle:
     def test_3_3_2(self, capsys):

@@ -1,9 +1,12 @@
 import math
+import pickle
 import random
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 
-from bookcross.constructions import balanced_embedding, block_cyclic, blowup
+from bookcross.constructions import balanced_embedding, block_cyclic, blowup, riskin_crossing_count, riskin_drawing
 from bookcross.drawings import (
     BookDrawing,
     CircularLayout,
@@ -111,9 +114,23 @@ class TestCountCrossings:
         assert 0 <= best <= c1
 
     def test_chunked_counting_path(self):
-        # E = 2500 forces the row-chunked broadcast; closed form is the oracle
+        # E = 2500 on one page; the closed form is the oracle
         d = block_cyclic(50, 50, 1)
         assert count_crossings(d).total == math.comb(50, 2) ** 2
+
+    @pytest.mark.parametrize("m, n", [(25, 400), (100, 200)])
+    def test_large_one_page_riskin_matches_closed_form(self, m, n):
+        d = riskin_drawing(m, n)
+        assert m * n >= 10**4
+        assert count_crossings(d).total == riskin_crossing_count(m, n)
+
+    def test_array_built_drawings_match_pairwise_reference(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            m, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            pages = np.array([[rng.randrange(k) for _ in range(n)] for _ in range(m)])
+            d = BookDrawing(random_layout(rng, m, n), k, pages)
+            assert count_crossings(d).total == pairwise_crossing_total(d)
 
     def test_total_bounded_by_edge_pairs(self):
         rng = random.Random(23)
@@ -203,6 +220,83 @@ class TestLayoutValidation:
             BookDrawing(lay, 0, {(0, 0): 0})
 
 
+class TestBookDrawingContract:
+    def drawing(self):
+        rng = random.Random(37)
+        return random_drawing(rng, 3, 5, 3)
+
+    def test_mapping_and_array_inputs_agree(self):
+        d = self.drawing()
+        pages = dict(d.pages)
+        array = np.array([[pages[(i, j)] for j in range(5)] for i in range(3)])
+        from_mapping = BookDrawing(d.layout, 3, pages)
+        from_array = BookDrawing(d.layout, 3, array)
+        assert from_mapping == from_array
+        assert to_json(from_mapping) == to_json(from_array)
+        assert from_array.page_array.tolist() == array.tolist()
+
+    def test_pages_reads_as_a_mapping(self):
+        d = self.drawing()
+        pages = d.pages
+        assert isinstance(pages, Mapping)
+        assert len(pages) == 15
+        assert list(pages) == [(i, j) for i in range(3) for j in range(5)]
+        as_dict = dict(pages)
+        assert as_dict == dict(pages.items()) == pages
+        assert BookDrawing(d.layout, d.k, as_dict) == d
+        assert all(type(p) is int and pages[e] == p for e, p in pages.items())
+        assert (2, 4) in pages
+        for missing in ((3, 0), (0, 5), (-1, 0), (0, -1), "b0", (0, 0, 0)):
+            assert missing not in pages
+            with pytest.raises(KeyError):
+                pages[missing]
+
+    def test_page_array_is_a_read_only_copy(self):
+        d = self.drawing()
+        array = d.page_array.copy()
+        again = BookDrawing(d.layout, d.k, array)
+        array[0, 0] = (array[0, 0] + 1) % d.k
+        assert again == d
+        with pytest.raises(ValueError):
+            again.page_array[0, 0] = 0
+
+    def test_inequality(self):
+        d = self.drawing()
+        assert BookDrawing(d.layout, d.k + 1, d.page_array) != d
+        assert BookDrawing(d.layout, d.k, (d.page_array + 1) % d.k) != d
+        assert BookDrawing(d.layout.rotated(1), d.k, d.page_array) != d
+
+    def test_pickle_round_trip(self):
+        d = blowup(balanced_embedding(4), 9)
+        again = pickle.loads(pickle.dumps(d))
+        assert again == d
+        assert to_json(again) == to_json(d)
+        assert count_crossings(again) == count_crossings(d)
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.zeros((5, 3), dtype=int), np.zeros((3, 4), dtype=int), np.zeros(15, dtype=int)],
+        ids=["transposed", "too_few_columns", "flat"],
+    )
+    def test_wrong_array_shape(self, array):
+        d = self.drawing()
+        with pytest.raises(ValueError, match="page array"):
+            BookDrawing(d.layout, 3, array)
+
+    @pytest.mark.parametrize("page", [-1, 3, 7])
+    def test_page_out_of_range(self, page):
+        d = self.drawing()
+        array = d.page_array.copy()
+        array[1, 2] = page
+        with pytest.raises(ValueError, match=f"page {page} out of range for k=3"):
+            BookDrawing(d.layout, 3, array)
+
+    def test_non_integer_array(self):
+        d = self.drawing()
+        with pytest.raises(ValueError, match="integers"):
+            BookDrawing(d.layout, 3, d.page_array.astype(float))
+
+
 class TestJson:
     def test_round_trip_identity(self):
         d = blowup(balanced_embedding(3), 6)
@@ -226,6 +320,12 @@ class TestJson:
         d = block_cyclic(2, 2, 2)
         doc = to_json(d).replace('"k": 2', '"k": 1')
         with pytest.raises(DrawingFormatError):
+            from_json(doc)
+
+    @pytest.mark.parametrize("edge", ["[1, 1, %d]" % 2**70, "[1, %d, 0]" % 2**70, "[1, 1, %d]" % -2**70])
+    def test_rejects_integers_beyond_64_bits(self, edge):
+        doc = to_json(block_cyclic(2, 2, 1)).replace("[1, 1, 0]", edge)
+        with pytest.raises(DrawingFormatError, match="out of range"):
             from_json(doc)
 
     def test_rejects_bad_token(self):
