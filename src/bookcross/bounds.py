@@ -236,6 +236,8 @@ class ScanReport:
 
 def family_rows(k: int, n: int) -> list[ScanRow]:
     """Every applicable bound row for the family K_{k+1,n}."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     rows: list[ScanRow] = []
     m = k + 1
     ell = (k + 1) ** 2 // 4

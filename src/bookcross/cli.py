@@ -42,7 +42,7 @@ from .constructions import balanced_embedding, block_cyclic, blowup, riskin_draw
 from .drawings import DrawingFormatError, count_crossings, from_json, to_json
 from .enumeration import count_formula, layout_from_string, necklace_classes
 from .oracle import DEFAULT_LIMITS, OracleLimits, OracleLimitError, brute_force_run
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -261,6 +261,8 @@ def _cmd_bounds(args) -> int:
         print("bounds --scan takes K N: it scans the K_{k+1,n} family only", file=sys.stderr)
         return EXIT_USAGE
     if args.scan:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
         report = bounds_mod.consistency_scan([k], range(1, n + 1))
         print(
             json.dumps(
@@ -285,7 +287,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     drawing = _read_drawing(args.file)
-    _write_text(args.output, render_svg(drawing, RenderSpec()))
+    _write_text(args.output, render_svg(drawing))
     return EXIT_OK
 
 

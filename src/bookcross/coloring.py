@@ -5,8 +5,8 @@ The conflict graph of a circular layout has one vertex per edge of K_{m,n}
 are adjacent iff the edges cross when drawn on a single page.  A layout
 extends to a crossing-free k-page drawing iff its conflict graph is
 k-colorable (colors = pages), so "no layout is k-colorable" certifies that
-every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from
-``drawings.half_interleaving``, the vectorized pairwise crossing kernel.
+every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from one
+vectorized pairwise crossing kernel over all chords of the layout.
 
 Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .drawings import BookDrawing, CircularLayout, half_interleaving
+from .drawings import BookDrawing, CircularLayout
 from .enumeration import layout_from_string, necklace_classes
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -82,7 +82,12 @@ def conflict_graph(layout: CircularLayout) -> ConflictGraph:
     # vertex v = i*n + j; chord endpoints normalized to lo < hi
     x = np.repeat(bpos, n)
     y = np.tile(wpos, m)
-    half = half_interleaving(np.minimum(x, y), np.maximum(x, y))
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    # half[u, v]: lo[u] < lo[v] < hi[u] < hi[v].  A crossing pair passes in
+    # exactly one orientation, so adjacency is half OR its transpose; the
+    # strict inequalities keep chords that share an endpoint apart.
+    half = (lo[:, None] < lo) & (lo < hi[:, None]) & (hi[:, None] < hi)
     # bit v of row u's little-endian bytes is entry (u, v)
     packed = np.packbits(half | half.T, axis=1, bitorder="little")
     return ConflictGraph(m, n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed), layout)

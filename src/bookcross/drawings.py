@@ -14,11 +14,10 @@ A ``BookDrawing`` keeps its pages as an m x n integer array, entry [i, j]
 holding the page of the edge joining black i to white j; ``pages`` reads that
 array as a mapping from edges to pages.
 
-``count_crossings`` counts each page with one sorted sweep over its chords.
-``half_interleaving`` is the vectorized pairwise kernel behind
-``coloring.conflict_graph``, and the scalar ``edges_cross`` stays as the
-independent reference for both.  Closed-form crossing totals live in
-``bounds``.  Every count is an exact Python integer.
+``count_crossings`` counts each page with one sorted sweep over its chords,
+and the scalar ``edges_cross`` stays as the independent reference for it and
+for the pairwise kernel of ``coloring.conflict_graph``.  Closed-form crossing
+totals live in ``bounds``.  Every count is an exact Python integer.
 """
 
 from __future__ import annotations
@@ -39,14 +38,6 @@ Edge = tuple[int, int]  # (black index, white index)
 
 class DrawingFormatError(ValueError):
     """Raised when on-disk drawing JSON violates the documented schema."""
-
-
-def black(i: int) -> Vertex:
-    return ("b", i)
-
-
-def white(j: int) -> Vertex:
-    return ("w", j)
 
 
 def vertex_name(v: Vertex) -> str:
@@ -89,10 +80,6 @@ class CircularLayout:
         seq = tuple(seq)
         m = sum(1 for c, _ in seq if c == "b")
         return cls(seq, m, len(seq) - m)
-
-    @cached_property
-    def position(self) -> dict[Vertex, int]:
-        return {v: p for p, v in enumerate(self.seq)}
 
     @cached_property
     def black_positions(self) -> list[int]:
@@ -262,19 +249,6 @@ def edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
     d = layout.white_positions[e2[1]]
     span = (b - a) % nverts
     return (((c - a) % nverts < span) != ((d - a) % nverts < span))
-
-
-def half_interleaving(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The pairwise crossing kernel: ``out[i, c]`` is True iff
-    lo[i] < lo[c] < hi[i] < hi[c]; chords are linear positions lo < hi.
-
-    A crossing pair passes in exactly one orientation, so the full relation is
-    the matrix OR its transpose.  Strict inequalities keep chords that share
-    an endpoint apart.
-    """
-    lo_r = lo[:, None]
-    hi_r = hi[:, None]
-    return (lo_r < lo) & (lo < hi_r) & (hi_r < hi)
 
 
 def count_crossings(d: BookDrawing) -> CrossingReport:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .coloring import conflict_graph
 from .constructions import balanced_embedding, balanced_parameters, block_cyclic, blowup, riskin_drawing
-from .drawings import BookDrawing, CircularLayout, count_crossings
+from .drawings import CircularLayout, count_crossings
 from .enumeration import enumerate_layouts
 
 
@@ -32,6 +32,12 @@ class OracleLimits:
     max_vertices: int = 10  # m + n
     max_pages: int = 3
     node_budget: int = 100_000_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"{f.name} must be non-negative, got {value}")
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -57,28 +63,23 @@ class OracleRun:
         }
 
 
-def _construction_incumbent(m: int, n: int, k: int) -> tuple[int, BookDrawing]:
-    """Best crossing count among the explicit constructions (counted, not assumed)."""
-    candidates: list[BookDrawing] = [block_cyclic(m, n, k)]
+def _construction_incumbent(m: int, n: int, k: int) -> int:
+    """Fewest crossings among the explicit constructions (counted, not assumed).
+
+    Swapping the two colour classes keeps every chord and every page, so the
+    blow-up of K_{k+1,m} counts for K_{m,k+1} as built.
+    """
+    candidates = [block_cyclic(m, n, k)]
     if k == 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             candidates.append(riskin_drawing(m, n))
-    for mm, nn, swap in ((m, n, False), (n, m, True)):
+    for mm, nn in ((m, n), (n, m)):
         if mm == k + 1:
             s, t = balanced_parameters(k)
             if nn >= s * t:
-                d = blowup(balanced_embedding(k), nn)
-                if swap:
-                    d = _transpose(d)
-                candidates.append(d)
-    return min(((count_crossings(d).total, d) for d in candidates), key=lambda pair: pair[0])
-
-
-def _transpose(d: BookDrawing) -> BookDrawing:
-    """Swap the two color classes (K_{m,n} is isomorphic to K_{n,m})."""
-    seq = tuple(("w", i) if c == "b" else ("b", i) for c, i in d.layout.seq)
-    return BookDrawing(CircularLayout(seq, d.layout.n, d.layout.m), d.k, d.page_array.T)
+                candidates.append(blowup(balanced_embedding(k), nn))
+    return min(count_crossings(d).total for d in candidates)
 
 
 def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> tuple[int, int]:
@@ -132,7 +133,7 @@ def brute_force_run(m: int, n: int, k: int, limits: OracleLimits = DEFAULT_LIMIT
     if k > limits.max_pages:
         raise OracleLimitError(f"k = {k} exceeds the oracle limit of {limits.max_pages} pages")
     start = time.perf_counter()
-    best, _ = _construction_incumbent(m, n, k)
+    best = _construction_incumbent(m, n, k)
     nodes = 0
     budget = limits.node_budget
     if best > 0:

@@ -2,42 +2,31 @@
 
 One circle per page, identical vertex placement across panels, straight
 chords, per-panel crossing annotation.  Output is a pure function of the
-drawing and spec: identical inputs yield byte-identical SVG.
+drawing: identical inputs yield byte-identical SVG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .drawings import BookDrawing, count_crossings, vertex_name
 
-
-@dataclass(frozen=True)
-class RenderSpec:
-    radius: float = 140.0
-    margin: float = 36.0
-    columns: int = 2
-    vertex_radius: float = 6.0
-    edge_width: float = 1.4
-    font_size: float = 12.0
-    edge_color: str = "#1f3a5f"
-    black_fill: str = "#111111"
-    white_fill: str = "#ffffff"
-    outline: str = "#111111"
+_RADIUS = 140.0
+_MARGIN = 36.0
+_COLUMNS = 2
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def render_svg(d: BookDrawing, spec: RenderSpec = RenderSpec()) -> str:
+def render_svg(d: BookDrawing) -> str:
     """SVG 1.1 document with one panel per page."""
     nverts = d.m + d.n
     report = count_crossings(d)
-    cols = max(1, min(spec.columns, d.k))
+    cols = min(_COLUMNS, d.k)
     rows = (d.k + cols - 1) // cols
-    panel = 2 * (spec.radius + spec.margin)
+    panel = 2 * (_RADIUS + _MARGIN)
     width = cols * panel
     height = rows * panel
 
@@ -56,46 +45,47 @@ def render_svg(d: BookDrawing, spec: RenderSpec = RenderSpec()) -> str:
         '<rect width="100%" height="100%" fill="#ffffff"/>',
     ]
 
-    by_page: list[list[tuple[int, int]]] = [[] for _ in range(d.k)]
-    for e, p in d.pages.items():
-        by_page[p].append(e)
+    # chord end positions per page, in row-major (black, white) edge order
+    bpos, wpos = d.layout.black_positions, d.layout.white_positions
+    chords: list[list[tuple[int, int]]] = [[] for _ in range(d.k)]
+    for i, row in enumerate(d.page_array.tolist()):
+        for j, page in enumerate(row):
+            chords[page].append((bpos[i], wpos[j]))
 
     for page in range(d.k):
         cx = (page % cols) * panel + panel / 2
         cy = (page // cols) * panel + panel / 2
-        px = [cx + spec.radius * ux for ux, _ in centers_unit]
-        py = [cy + spec.radius * uy for _, uy in centers_unit]
+        px = [cx + _RADIUS * ux for ux, _ in centers_unit]
+        py = [cy + _RADIUS * uy for _, uy in centers_unit]
         out.append(f'<g id="page{page}">')
         out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(spec.radius)}" '
-            f'fill="none" stroke="#c8c8c8" stroke-width="1.00"/>'
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(_RADIUS)}" '
+            'fill="none" stroke="#c8c8c8" stroke-width="1.00"/>'
         )
-        for i, j in sorted(by_page[page]):
-            a = d.layout.position[("b", i)]
-            b = d.layout.position[("w", j)]
+        for a, b in chords[page]:
             out.append(
                 f'<line x1="{_fmt(px[a])}" y1="{_fmt(py[a])}" '
                 f'x2="{_fmt(px[b])}" y2="{_fmt(py[b])}" '
-                f'stroke="{spec.edge_color}" stroke-width="{_fmt(spec.edge_width)}"/>'
+                'stroke="#1f3a5f" stroke-width="1.40"/>'
             )
         for p, v in enumerate(d.layout.seq):
-            fill = spec.black_fill if v[0] == "b" else spec.white_fill
+            fill = "#111111" if v[0] == "b" else "#ffffff"
             out.append(
-                f'<circle cx="{_fmt(px[p])}" cy="{_fmt(py[p])}" r="{_fmt(spec.vertex_radius)}" '
-                f'fill="{fill}" stroke="{spec.outline}" stroke-width="1.00">'
+                f'<circle cx="{_fmt(px[p])}" cy="{_fmt(py[p])}" r="6.00" '
+                f'fill="{fill}" stroke="#111111" stroke-width="1.00">'
                 f"<title>{vertex_name(v)}</title></circle>"
             )
         label = f"page {page}: {report.per_page[page]} crossings"
         out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy + spec.radius + spec.margin * 0.7)}" '
-            f'font-family="sans-serif" font-size="{_fmt(spec.font_size)}" '
+            f'<text x="{_fmt(cx)}" y="{_fmt(cy + _RADIUS + _MARGIN * 0.7)}" '
+            'font-family="sans-serif" font-size="12.00" '
             f'text-anchor="middle">{label}</text>'
         )
         out.append("</g>")
 
     out.append(
-        f'<text x="{_fmt(width / 2)}" y="{_fmt(spec.margin * 0.55)}" '
-        f'font-family="sans-serif" font-size="{_fmt(spec.font_size)}" text-anchor="middle">'
+        f'<text x="{_fmt(width / 2)}" y="{_fmt(_MARGIN * 0.55)}" '
+        'font-family="sans-serif" font-size="12.00" text-anchor="middle">'
         f"K_{{{d.m},{d.n}}} in {d.k} pages, {report.total} crossings total</text>"
     )
     out.append("</svg>")

@@ -265,6 +265,17 @@ class TestBounds:
         assert out == ""
         assert "--scan" in err
 
+    @pytest.mark.parametrize(
+        "args, n",
+        [(("3", "0", "--scan"), 0), (("3", "-2", "--scan"), -2), (("3", "4", "-1"), -1)],
+        ids=["scan_0", "scan_-2", "family_-1"],
+    )
+    def test_nonpositive_n_is_named(self, capsys, args, n):
+        code, out, err = run(capsys, "bounds", *args)
+        assert code == 64
+        assert out == ""
+        assert f"n must be positive, got {n}" in err
+
 
 class TestOracle:
     def test_3_3_2(self, capsys):
@@ -278,6 +289,15 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "7", "7", "2")
         assert code == 2
         assert "limit" in err
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--node-budget", "node_budget"), ("--max-vertices", "max_vertices"), ("--max-pages", "max_pages")]
+    )
+    def test_negative_limit_is_a_usage_error(self, capsys, flag, name):
+        code, out, err = run(capsys, "oracle", "3", "3", "2", flag, "-1")
+        assert code == 64
+        assert out == ""
+        assert f"{name} must be non-negative, got -1" in err
 
 
 class TestRender:

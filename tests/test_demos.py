@@ -11,10 +11,18 @@ from pathlib import Path
 
 import pytest
 
+import bookcross
 from bookcross import balanced_embedding, block_cyclic, blowup, render_svg, riskin_drawing
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_star_import_resolves_every_public_name():
+    # the README's library tour starts with this import
+    namespace: dict = {}
+    exec("from bookcross import *", namespace)
+    assert set(bookcross.__all__) <= namespace.keys()
 
 
 def test_five_demos_found():

@@ -35,11 +35,13 @@ class TestBruteForceNu:
         assert brute_force_nu(2, 4, 2) <= brute_force_nu(3, 4, 2)
 
     def test_matches_exact_family_values(self):
-        # k=2: K_{3,n}; k=3: K_{4,n} within the size limits
+        # k=2: K_{3,n}; k=3: K_{4,n} within the size limits, in both orders
         for n in range(2, 8):
             assert brute_force_nu(3, n, 2) == exact_crossing_number(2, n), n
+            assert brute_force_nu(n, 3, 2) == exact_crossing_number(2, n), n
         for n in range(4, 7):
             assert brute_force_nu(4, n, 3) == exact_crossing_number(3, n), n
+            assert brute_force_nu(n, 4, 3) == exact_crossing_number(3, n), n
 
     def test_stats_populated(self):
         run = brute_force_run(3, 3, 2)
