@@ -40,7 +40,7 @@ from .coloring import (
 )
 from .constructions import balanced_embedding, block_cyclic, blowup, riskin_drawing
 from .drawings import DrawingFormatError, count_crossings, from_json, to_json
-from .enumeration import count_formula, layout_from_string, necklace_classes
+from .enumeration import _bracelets, count_formula, layout_from_string
 from .oracle import DEFAULT_LIMITS, OracleLimits, OracleLimitError, brute_force_run
 from .render import render_svg
 
@@ -141,11 +141,11 @@ def _cmd_count_drawings(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    strings = [cls.canonical for cls in necklace_classes(args.m, args.n)]
+    strings = (cls.canonical for cls in _bracelets(args.m, args.n))
     if args.emit == "json":
-        print(json.dumps(strings))
+        print(json.dumps(list(strings)))
     else:
-        for s in strings:
+        for s in strings:  # each line as soon as its class is found
             print(s)
     return EXIT_OK
 

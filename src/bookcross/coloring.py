@@ -25,6 +25,7 @@ import time
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
@@ -472,7 +473,7 @@ def verify_positive_crossing(
     only NOT_COLORABLE entries are final and reused, so COLORABLE and
     BUDGET_EXCEEDED layouts are checked again with this ``budget``.
     ``jobs`` must be at least 1; above 1 it fans layouts out to worker
-    processes (results come back in canonical order either way).
+    processes in batches (results come back in canonical order either way).
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -483,13 +484,18 @@ def verify_positive_crossing(
     pending = [s for s in layouts if s not in done]
 
     pool = None
+    run = map
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a costly import
 
         pool = ProcessPoolExecutor(max_workers=jobs)
+        # one pool task costs more than a typical layout, so layouts go out in
+        # batches; with 32 batches per worker, a batch that holds one slow
+        # layout leaves the other workers idle for little of the run
+        run = partial(pool.map, chunksize=-(-len(pending) // (32 * jobs)))
     witness = None
     with pool or nullcontext():
-        for log, colors in (pool.map if pool else map)(check_layout, pending, repeat(k), repeat(budget)):
+        for log, colors in run(check_layout, pending, repeat(k), repeat(budget)):
             done[log.canonical] = log
             if witness is None and colors is not None:
                 witness = coloring_to_drawing(layout_from_string(log.canonical), colors, k)

@@ -9,10 +9,13 @@ reversal.
 The classes are generated one at a time in ascending order: fixed-content
 necklace generation (Ruskey and Sawada) yields the strings that are least
 among their rotations, and the reversal test keeps the bracelets, those that
-are also no greater than any rotation of their reversal (Sawada 2001).  The
-work and memory grow with the number of classes, not with 2**(m+n), and no
-word length is capped.  ``canonical_form`` (brute force per string) and
-``count_formula`` (Burnside's lemma) stay as independent references.
+are also no greater than any rotation of their reversal (Sawada 2001).  That
+test compares only the rotations of the reversal that start with the
+necklace's longest run of zeros and the '1' after it, since no other rotation
+can be smaller.  The work and memory grow with the number of classes, not
+with 2**(m+n), and no word length is capped.  ``canonical_form`` (brute force
+per string) and ``count_formula`` (Burnside's lemma) stay as independent
+references.
 """
 
 from __future__ import annotations
@@ -55,10 +58,19 @@ def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
     Fixed-content FKM generation over '0' < '1' (Ruskey and Sawada) walks the
     prenecklaces with n zeros and m ones depth first on an explicit stack, so
     word length is not limited by the recursion depth.  A full-length word
-    whose period p divides m+n is a necklace, the least of its rotations; it
+    whose period p divides m+n is a necklace s, the least of its rotations; it
     is kept as a bracelet when it is no greater than any rotation of its
     reversal (Sawada 2001).  The orbit has p strings, or 2p when the reversal
     is not a rotation of the necklace.
+
+    The reversal test looks only at anchors, and is exact.  A necklace with
+    both symbols starts with its longest run of zeros, so it starts with
+    ``head = 0^L 1``.  The reversal has the same cyclic runs, so a rotation
+    of it that is no greater than s starts with ``head`` too.  The anchors
+    are the starts of ``head`` in the doubled reversal below p (the reversal
+    also has period p); they never overlap, because ``head`` ends in its
+    only '1'.  s is a bracelet iff no anchored rotation is less than s, and
+    the reversal is a rotation of s iff one equals s.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -74,10 +86,19 @@ def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
             if size % p:
                 continue
             s = "".join(word)
+            head = s[: s.index("1") + 1]
             twice = s[::-1] * 2
-            r = min(twice[i : i + size] for i in range(p))
-            if s <= r:
-                yield NecklaceClass(s, p if s == r else 2 * p)
+            orbit = 2 * p
+            i = twice.find(head)
+            while 0 <= i < p:
+                c = twice[i : i + size]
+                if c < s:
+                    break
+                if c == s:
+                    orbit = p
+                i = twice.find(head, i + len(head))
+            else:
+                yield NecklaceClass(s, orbit)
         elif ones < m:  # with only zeros left the word would end in '0', never a necklace
             # repeating word[t - p] keeps the period; a '1' above it makes the prefix a Lyndon word
             if word[t - p] == "1":

@@ -2,8 +2,10 @@
 
 import random
 from bisect import bisect_left
+from typing import Iterator
 
 from bookcross.drawings import BookDrawing, CircularLayout, edges_cross
+from bookcross.enumeration import NecklaceClass
 
 
 def pairwise_crossing_total(d: BookDrawing) -> int:
@@ -59,3 +61,45 @@ def reference_crossing_chain(layout: CircularLayout) -> list[int]:
                 runs[r + 1] = runs[r] + [v]
         best = max(best, runs[-1], key=len)
     return best
+
+
+# The bracelet generator as it was before the anchor test, kept as the
+# reference: it compares every rotation of the reversal with the necklace.
+# ``necklace_classes`` must return exactly its classes, in the same order.
+def reference_bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
+    """Orbit classes in ascending order, generated one at a time.
+
+    Fixed-content FKM generation over '0' < '1' (Ruskey and Sawada) walks the
+    prenecklaces with n zeros and m ones depth first on an explicit stack, so
+    word length is not limited by the recursion depth.  A full-length word
+    whose period p divides m+n is a necklace, the least of its rotations; it
+    is kept as a bracelet when it is no greater than any rotation of its
+    reversal (Sawada 2001).  The orbit has p strings, or 2p when the reversal
+    is not a rotation of the necklace.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    size = m + n
+    word = ["0"] * size
+    # (position, symbol, period of the prefix ending there, ones in that prefix)
+    stack = [(0, "0", 1, 0)]
+    while stack:
+        t, symbol, p, ones = stack.pop()
+        word[t] = symbol
+        t += 1
+        if t == size:
+            if size % p:
+                continue
+            s = "".join(word)
+            twice = s[::-1] * 2
+            r = min(twice[i : i + size] for i in range(p))
+            if s <= r:
+                yield NecklaceClass(s, p if s == r else 2 * p)
+        elif ones < m:  # with only zeros left the word would end in '0', never a necklace
+            # repeating word[t - p] keeps the period; a '1' above it makes the prefix a Lyndon word
+            if word[t - p] == "1":
+                stack.append((t, "1", p, ones + 1))
+            else:
+                stack.append((t, "1", t + 1, ones + 1))
+                if t - ones < n:
+                    stack.append((t, "0", p, ones))

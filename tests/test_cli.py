@@ -37,6 +37,15 @@ class TestEnumerate:
         assert code == 0
         assert out.strip() == "01"
 
+    @pytest.mark.parametrize("m,n", [(5, 7), (6, 6)])
+    def test_lines_match_json(self, capsys, m, n):
+        code, out, _ = run(capsys, "enumerate", str(m), str(n), "--emit", "json")
+        assert code == 0
+        strings = json.loads(out)
+        code, out, _ = run(capsys, "enumerate", str(m), str(n))
+        assert code == 0
+        assert out == "".join(s + "\n" for s in strings)
+
 
 class TestConstructAndCrossings:
     def test_blowup_pipe_equivalent(self, capsys, tmp_path):

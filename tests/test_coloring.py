@@ -318,14 +318,17 @@ class TestVerifyPipeline:
         assert [l.verdict for l in serial.logs] == [l.verdict for l in parallel.logs]
 
     def test_parallel_refutation_matches_serial(self):
-        serial = verify_positive_crossing(4, 4, 3, jobs=1)
-        parallel = verify_positive_crossing(4, 4, 3, jobs=2)
-        assert serial.status == parallel.status == "refuted"
-        assert [l.canonical for l in serial.logs] == [l.canonical for l in parallel.logs]
-        assert [l.verdict for l in serial.logs] == [l.verdict for l in parallel.logs]
-        assert serial.witness == parallel.witness
-        first = next(l.canonical for l in serial.logs if l.verdict == COLORABLE)
-        assert serial.witness.layout == layout_from_string(first)
+        # K_{6,8} has 126 layouts, which go out to two workers in 63 batches
+        for m, n, k in [(4, 4, 3), (6, 8, 5)]:
+            serial = verify_positive_crossing(m, n, k, jobs=1)
+            parallel = verify_positive_crossing(m, n, k, jobs=2)
+            assert serial.status == parallel.status == "refuted"
+            assert [(l.canonical, l.verdict, l.nodes) for l in serial.logs] == [
+                (l.canonical, l.verdict, l.nodes) for l in parallel.logs
+            ]
+            assert serial.witness == parallel.witness
+            first = next(l.canonical for l in serial.logs if l.verdict == COLORABLE)
+            assert serial.witness.layout == layout_from_string(first)
 
     def test_resumed_budget_exceeded_is_retried(self):
         strings = [lay.to_bitstring() for lay in enumerate_layouts(5, 7)]

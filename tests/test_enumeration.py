@@ -15,6 +15,8 @@ from bookcross.enumeration import (
     necklace_classes,
 )
 
+from conftest import reference_bracelets
+
 
 class TestCanonicalForm:
     def test_rotation(self):
@@ -102,6 +104,11 @@ class TestEnumerateLayouts:
                 )
                 classes = [(c.canonical, c.orbit_size) for c in necklace_classes(m, total - m)]
                 assert classes == sorted(orbits.items()), (m, total - m)
+
+    def test_matches_reference_generator(self):
+        shapes = [(m, total - m) for total in range(15, 19) for m in range(1, total)]
+        for m, n in shapes + [(10, 10)]:
+            assert necklace_classes(m, n) == list(reference_bracelets(m, n)), (m, n)
 
     def test_long_skewed_words(self):
         assert necklace_classes(1, 3000) == [NecklaceClass("0" * 3000 + "1", 3001)]
