@@ -12,7 +12,8 @@ Subcommands::
     render FILE -o OUT.svg
 
 Exit codes: 0 success / proven, 1 refuted, 2 inconclusive (budget),
-64 usage error, 65 malformed or unreadable input file or unwritable output.
+64 usage error, 65 malformed or unreadable input file or unwritable output,
+141 stdout closed early (as by ``| head``; 128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_BROKEN_PIPE = 141
 
 
 class LogFormatError(ValueError):
@@ -314,6 +316,11 @@ def main(argv=None) -> int:
     except DrawingFormatError as exc:
         print(f"malformed drawing file: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered, and the final
+        # flush at exit, to devnull so that neither reports the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA

@@ -6,7 +6,9 @@ are adjacent iff the edges cross when drawn on a single page.  A layout
 extends to a crossing-free k-page drawing iff its conflict graph is
 k-colorable (colors = pages), so "no layout is k-colorable" certifies that
 every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from one
-vectorized pairwise crossing kernel over all chords of the layout.
+vectorized pairwise crossing kernel over all chords of the layout, run on
+the first read of ``adj``: a layout whose clique sweep alone settles it
+never builds its adjacency.
 
 Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
@@ -24,8 +26,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
@@ -45,14 +47,29 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class ConflictGraph:
-    """Crossing graph on the m*n edges of K_{m,n} for one layout."""
+    """Crossing graph on the m*n edges of K_{m,n}, with ``adj`` the bitmask of
+    neighbours per vertex: given by hand, or built from ``layout`` on first
+    read.  Equality and hashing follow (m, n, adj); the layout is left out."""
 
-    m: int
-    n: int
-    adj: tuple[int, ...]  # bitmask of neighbors per vertex
-    layout: CircularLayout | None = field(default=None, compare=False)  # None if hand-built
+    def __init__(self, m: int, n: int, adj: tuple[int, ...] | None = None, layout: CircularLayout | None = None):
+        self.m = m
+        self.n = n
+        self.layout = layout  # None if hand-built
+        if adj is not None:
+            self.adj = adj
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        return _adjacency(self.layout)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConflictGraph):
+            return NotImplemented
+        return (self.m, self.n, self.adj) == (other.m, other.n, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.adj))
 
     @property
     def vertex_count(self) -> int:
@@ -76,7 +93,14 @@ class ConflictGraph:
 
 
 def conflict_graph(layout: CircularLayout) -> ConflictGraph:
-    """Build the conflict graph of a layout through the pairwise crossing kernel."""
+    """The conflict graph of a layout.  Its adjacency is built by the pairwise
+    crossing kernel on first read of ``adj``, so a layout that the clique
+    sweep settles (which reads only the layout) never builds it."""
+    return ConflictGraph(layout.m, layout.n, layout=layout)
+
+
+def _adjacency(layout: CircularLayout) -> tuple[int, ...]:
+    """Neighbour bitmask per vertex, through the pairwise crossing kernel."""
     m, n = layout.m, layout.n
     bpos = np.asarray(layout.black_positions, dtype=np.int64)
     wpos = np.asarray(layout.white_positions, dtype=np.int64)
@@ -91,7 +115,7 @@ def conflict_graph(layout: CircularLayout) -> ConflictGraph:
     half = (lo[:, None] < lo) & (lo < hi[:, None]) & (hi[:, None] < hi)
     # bit v of row u's little-endian bytes is entry (u, v)
     packed = np.packbits(half | half.T, axis=1, bitorder="little")
-    return ConflictGraph(m, n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed), layout)
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 # ---------------------------------------------------------------------------

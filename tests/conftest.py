@@ -4,6 +4,9 @@ import random
 from bisect import bisect_left
 from typing import Iterator
 
+import numpy as np
+
+from bookcross.coloring import ConflictGraph
 from bookcross.drawings import BookDrawing, CircularLayout, edges_cross
 from bookcross.enumeration import NecklaceClass
 
@@ -61,6 +64,28 @@ def reference_crossing_chain(layout: CircularLayout) -> list[int]:
                 runs[r + 1] = runs[r] + [v]
         best = max(best, runs[-1], key=len)
     return best
+
+
+# The conflict graph as it was built before its adjacency became lazy, kept
+# as the reference: the kernel runs at once and the result is hand-built, so
+# it holds no layout.  ``conflict_graph(layout).adj`` must equal its ``adj``.
+def reference_conflict_graph(layout: CircularLayout) -> ConflictGraph:
+    """Build the conflict graph of a layout through the pairwise crossing kernel."""
+    m, n = layout.m, layout.n
+    bpos = np.asarray(layout.black_positions, dtype=np.int64)
+    wpos = np.asarray(layout.white_positions, dtype=np.int64)
+    # vertex v = i*n + j; chord endpoints normalized to lo < hi
+    x = np.repeat(bpos, n)
+    y = np.tile(wpos, m)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    # half[u, v]: lo[u] < lo[v] < hi[u] < hi[v].  A crossing pair passes in
+    # exactly one orientation, so adjacency is half OR its transpose; the
+    # strict inequalities keep chords that share an endpoint apart.
+    half = (lo[:, None] < lo) & (lo < hi[:, None]) & (hi[:, None] < hi)
+    # bit v of row u's little-endian bytes is entry (u, v)
+    packed = np.packbits(half | half.T, axis=1, bitorder="little")
+    return ConflictGraph(m, n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
 
 # The bracelet generator as it was before the anchor test, kept as the

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,23 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", str(m), str(n))
         assert code == 0
         assert out == "".join(s + "\n" for s in strings)
+
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # like `bookcross enumerate 9 13 | head -1`: 11,410 lines overfill
+        # the pipe, so the reader's close reaches the writer mid-stream
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "bookcross.cli", "enumerate", "9", "13"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        ) as proc:
+            assert proc.stdout.readline() == "0000000000000111111111\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == ""
 
 
 class TestConstructAndCrossings:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bookcross import coloring
 from bookcross.coloring import (
     BUDGET_EXCEEDED,
     COLORABLE,
@@ -10,6 +11,7 @@ from bookcross.coloring import (
     NOT_COLORABLE,
     ConflictGraph,
     LayoutLog,
+    _crossing_chain,
     _exact_max_clique,
     clique_lower_bound,
     coloring_satisfies_cnf,
@@ -24,7 +26,7 @@ from bookcross.coloring import (
 from bookcross.drawings import CircularLayout, count_crossings, edges_cross, to_json
 from bookcross.enumeration import enumerate_layouts, layout_from_string
 
-from conftest import random_layout, reference_crossing_chain
+from conftest import random_layout, reference_conflict_graph, reference_crossing_chain
 
 # to_json of the K_{6,8} refutation at k=5: the first colorable layout in
 # canonical order and the coloring the search finds on it
@@ -94,6 +96,69 @@ class TestConflictGraph:
             g = conflict_graph(lay)
             for u, v in g.edges():
                 assert u // 4 != v // 4 and u % 4 != v % 4
+
+
+class TestLazyAdjacency:
+    def test_matches_reference_on_small_splits(self):
+        for size in range(2, 13):
+            for m in range(1, size):
+                for lay in enumerate_layouts(m, size - m):
+                    assert conflict_graph(lay).adj == reference_conflict_graph(lay).adj
+
+    def test_matches_reference_on_random_layouts(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            lay = random_layout(rng, rng.randint(1, 7), rng.randint(1, 13))
+            assert conflict_graph(lay).adj == reference_conflict_graph(lay).adj
+
+    def test_layouts_with_one_split_compare_unequal(self):
+        a, b = (conflict_graph(layout_from_string(s)) for s in ("000001111", "001010101"))
+        assert (a.m, a.n) == (b.m, b.n)
+        assert a != b
+        # all ten K_{4,5} graphs differ, so none of them may compare equal
+        assert len({conflict_graph(lay) for lay in enumerate_layouts(4, 5)}) == 10
+
+    def test_equals_hand_built_graph(self):
+        lay = layout_from_string("001010101")
+        g = conflict_graph(lay)
+        hand = ConflictGraph(4, 5, reference_conflict_graph(lay).adj)
+        assert g == hand and hand == g
+        assert hash(g) == hash(hand)
+        assert g != ConflictGraph(5, 4, hand.adj)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The layouts, as bit strings, whose adjacency is built from here on."""
+    layouts = []
+    build = coloring._adjacency
+
+    def counted(layout):
+        layouts.append(layout.to_bitstring())
+        return build(layout)
+
+    monkeypatch.setattr(coloring, "_adjacency", counted)
+    return layouts
+
+
+class TestCliqueFirstBuilds:
+    """A layout builds its adjacency only when the clique bound leaves it open."""
+
+    def test_k45_builds_four_of_ten(self, built):
+        res = verify_positive_crossing(4, 5, 3)
+        assert res.status == "proven"
+        assert sum(log.nodes for log in res.logs) == 26
+        assert len(built) == 4
+        assert sorted(built) == sorted(
+            lay.to_bitstring() for lay in enumerate_layouts(4, 5) if len(_crossing_chain(lay)) <= 3
+        )
+
+    def test_k7_12_builds_only_open_layouts(self, built):
+        open_layouts = sum(len(_crossing_chain(lay)) <= 6 for lay in enumerate_layouts(7, 12))
+        res = verify_positive_crossing(7, 12, 6)
+        assert res.status == "refuted"
+        assert sum(log.nodes for log in res.logs) == 28869
+        assert len(built) == open_layouts == 1368 - 1141
 
 
 class TestClique:
