@@ -223,13 +223,13 @@ def _cmd_verify(args) -> int:
         result = verify_positive_crossing(
             args.m, args.n, args.k, budget=args.budget, jobs=args.jobs, completed=completed
         )
+        lines = [json.dumps({"m": args.m, "n": args.n, "k": args.k, **log.to_dict()}) for log in result.logs]
         if log_fh:
             log_fh.truncate(0)
-        for log in result.logs:
-            line = json.dumps({"m": args.m, "n": args.n, "k": args.k, **log.to_dict()})
-            print(line)
-            if log_fh:
-                log_fh.write(line + "\n")
+            log_fh.writelines(line + "\n" for line in lines)
+    # the log is closed, and so complete, before a reader can close stdout
+    for line in lines:
+        print(line)
     if args.export_cnf:
         for log in result.logs:
             g = conflict_graph(layout_from_string(log.canonical))

@@ -3,12 +3,14 @@
 Minimizes crossings over every distinct circular layout and every page
 assignment.  Restricting layouts to dihedral orbit representatives is sound
 because crossing counts are invariant under rotations and reflections of the
-circle; this is the oracle's one non-trivial optimization.  Page assignments
-are explored by branch and bound over edges in a fixed order (most-crossing
-edges first), pruning as soon as the partial count reaches the incumbent,
-with page symmetry broken by letting each new page be introduced by the first
-edge placed on it.  Incumbents come from the explicit constructions, so they
-are genuine drawings, not formula values.
+circle.  Page assignments are explored by branch and bound over edges in a
+fixed order (most-crossing edges first), with page symmetry broken by letting
+each new page be introduced by the first edge placed on it.  A branch is
+pruned as soon as its crossings so far plus a look-ahead lower bound reach the
+incumbent: every edge not yet placed is charged the fewest placed edges it
+would cross on any one page, kept up to date as edges are placed and removed.
+Incumbents come from the explicit constructions, so they are genuine
+drawings, not formula values.
 """
 
 from __future__ import annotations
@@ -87,35 +89,54 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
 
     Returns (new best, nodes used).  Never reports a value >= best, so the
     caller keeps its incumbent unless a strictly better assignment exists.
+
+    A node is pruned when its crossings so far plus ``rest`` reach ``best``.
+    ``rest`` sums, over the edges not yet placed, the fewest placed edges that
+    cross the edge on any one page: placed edges never move, so wherever an
+    unplaced edge lands it crosses at least that many of them, and crossings
+    among unplaced edges are not counted at all.  The bound therefore never
+    exceeds the best completion and the search stays exact.  Empty pages cost
+    0 and stay in the minimum, so page symmetry breaking does not affect it.
     """
     cross_of = conflict_graph(layout).adj  # vertex i*n + j is edge (i, j)
     nedges = len(cross_of)
     order = sorted(range(nedges), key=lambda a: (-cross_of[a].bit_count(), a))
-    # edge t of the search is vertex order[t]; page masks keep vertex bits
-    masks = [cross_of[v] for v in order]
-    bits = [1 << v for v in order]
-
-    page_bits = [0] * k
+    # edge t of the search is vertex order[t]; later[t] lists the edges after
+    # t in search order that cross it, the only ones whose cost t can change
+    later = [
+        [s for s in range(t + 1, nedges) if cross_of[order[t]] >> order[s] & 1]
+        for t in range(nedges)
+    ]
+    cost = [[0] * k for _ in range(nedges)]  # cost[t][p]: placed edges on page p crossing t
+    rest = 0  # sum of min(cost[t]) over the edges t not yet placed
     nodes = 0
 
     def walk(t: int, used: int, partial: int) -> None:
-        nonlocal best, nodes
-        if partial >= best:
+        nonlocal best, nodes, rest
+        if partial + rest >= best:
             return
         if t == nedges:
             best = partial
             return
-        mask = masks[t]
-        bit = bits[t]
+        here = cost[t]
+        entry = rest
+        others = rest - min(here)
         for p in range(min(used + 1, k)):
             nodes += 1
             if nodes > budget:
                 raise OracleLimitError("oracle node budget exhausted")
-            add = (mask & page_bits[p]).bit_count()
-            if partial + add < best:
-                page_bits[p] |= bit
+            add = here[p]
+            if partial + add + others < best:
+                rest = others
+                for s in later[t]:
+                    c = cost[s]
+                    low = min(c)
+                    c[p] += 1
+                    rest += min(c) - low
                 walk(t + 1, max(used, p + 1), partial + add)
-                page_bits[p] &= ~bit
+                for s in later[t]:
+                    cost[s][p] -= 1
+                rest = entry
         return
 
     walk(0, 0, 0)

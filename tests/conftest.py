@@ -6,9 +6,10 @@ from typing import Iterator
 
 import numpy as np
 
-from bookcross.coloring import ConflictGraph
+from bookcross.coloring import ConflictGraph, conflict_graph
 from bookcross.drawings import BookDrawing, CircularLayout, edges_cross
 from bookcross.enumeration import NecklaceClass
+from bookcross.oracle import OracleLimitError
 
 
 def pairwise_crossing_total(d: BookDrawing) -> int:
@@ -128,3 +129,46 @@ def reference_bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
                 stack.append((t, "1", t + 1, ones + 1))
                 if t - ones < n:
                     stack.append((t, "0", p, ones))
+
+
+# The oracle's page-assignment walk as it was before the look-ahead bound,
+# kept as the reference: it prunes only on the crossings already counted.
+# ``oracle._layout_minimum`` must return the same minimum on every layout.
+def reference_layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> tuple[int, int]:
+    """Min crossings over page assignments strictly better than ``best``.
+
+    Returns (new best, nodes used).  Never reports a value >= best, so the
+    caller keeps its incumbent unless a strictly better assignment exists.
+    """
+    cross_of = conflict_graph(layout).adj  # vertex i*n + j is edge (i, j)
+    nedges = len(cross_of)
+    order = sorted(range(nedges), key=lambda a: (-cross_of[a].bit_count(), a))
+    # edge t of the search is vertex order[t]; page masks keep vertex bits
+    masks = [cross_of[v] for v in order]
+    bits = [1 << v for v in order]
+
+    page_bits = [0] * k
+    nodes = 0
+
+    def walk(t: int, used: int, partial: int) -> None:
+        nonlocal best, nodes
+        if partial >= best:
+            return
+        if t == nedges:
+            best = partial
+            return
+        mask = masks[t]
+        bit = bits[t]
+        for p in range(min(used + 1, k)):
+            nodes += 1
+            if nodes > budget:
+                raise OracleLimitError("oracle node budget exhausted")
+            add = (mask & page_bits[p]).bit_count()
+            if partial + add < best:
+                page_bits[p] |= bit
+                walk(t + 1, max(used, p + 1), partial + add)
+                page_bits[p] &= ~bit
+        return
+
+    walk(0, 0, 0)
+    return best, nodes

@@ -17,6 +17,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_process(*argv):
+    """``python -m bookcross.cli ARGV`` in a child that imports bookcross from
+    ``src/``, with stdout and stderr as text pipes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "bookcross.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+
+
 class TestCountDrawings:
     def test_5_7(self, capsys):
         code, out, _ = run(capsys, "count-drawings", "5", "7")
@@ -54,13 +66,7 @@ class TestEnumerate:
     def test_closed_stdout_exits_141_quietly(self):
         # like `bookcross enumerate 9 13 | head -1`: 11,410 lines overfill
         # the pipe, so the reader's close reaches the writer mid-stream
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        with subprocess.Popen(
-            [sys.executable, "-m", "bookcross.cli", "enumerate", "9", "13"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
-        ) as proc:
+        with cli_process("enumerate", "9", "13") as proc:
             assert proc.stdout.readline() == "0000000000000111111111\n"
             proc.stdout.close()
             err = proc.stderr.read()
@@ -198,6 +204,18 @@ class TestVerifyPagenumber:
         assert code == 0
         assert len(log.read_text().splitlines()) == 10
 
+    def test_closed_stdout_keeps_the_whole_log(self, tmp_path):
+        # like `verify-pagenumber 7 12 6 --jobs 1 --log F | head -1`: the
+        # 1,368 records overfill the pipe, and F must still hold them all
+        log = tmp_path / "run.jsonl"
+        with cli_process("verify-pagenumber", "7", "12", "6", "--jobs", "1", "--log", str(log)) as proc:
+            assert json.loads(proc.stdout.readline())["k"] == 6
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert err == ""
+        assert len(log.read_text().splitlines()) == 1368
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -319,6 +337,16 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "7", "7", "2")
         assert code == 2
         assert "limit" in err
+
+    def test_node_budget_exit(self, capsys):
+        # K_{5,6} at k = 2 takes 28,054 nodes
+        code, out, _ = run(capsys, "oracle", "5", "6", "2", "--max-vertices", "12", "--node-budget", "28054")
+        assert code == 0
+        assert json.loads(out)["value"] == 24
+        code, out, err = run(capsys, "oracle", "5", "6", "2", "--max-vertices", "12", "--node-budget", "28053")
+        assert code == 2
+        assert out == ""
+        assert "node budget" in err
 
     @pytest.mark.parametrize(
         "flag, name", [("--node-budget", "node_budget"), ("--max-vertices", "max_vertices"), ("--max-pages", "max_pages")]

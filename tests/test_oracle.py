@@ -1,7 +1,9 @@
 import pytest
 
+from bookcross import oracle
 from bookcross.bounds import exact_crossing_number, zarankiewicz
 from bookcross.constructions import riskin_crossing_count
+from bookcross.enumeration import layout_from_string, necklace_classes
 from bookcross.oracle import (
     OracleLimitError,
     OracleLimits,
@@ -9,6 +11,12 @@ from bookcross.oracle import (
     brute_force_pagenumber,
     brute_force_run,
 )
+
+from conftest import reference_layout_minimum
+
+# the oracle instances of perfbench's `drawings`; (5, 6) and (4, 8) need 11+ vertices
+BENCH_LIMITS = OracleLimits(max_vertices=12)
+BENCH_INSTANCES = [(3, 3, 2), (5, 5, 2), (4, 6, 2), (3, 7, 2), (5, 6, 2), (4, 5, 3), (4, 7, 3), (4, 8, 3)]
 
 
 class TestBruteForceNu:
@@ -48,6 +56,39 @@ class TestBruteForceNu:
         assert run.value == 1
         assert run.millis >= 0
         assert run.to_dict()["m"] == 3
+
+
+class TestLookAheadBound:
+    def test_layout_minima_match_reference(self):
+        # best = m²n² exceeds every crossing count, so no incumbent prunes
+        for size in range(2, 10):
+            for m in range(1, size):
+                n = size - m
+                for cls in necklace_classes(m, n):
+                    layout = layout_from_string(cls.canonical)
+                    for k in (1, 2, 3):
+                        expected, _ = reference_layout_minimum(layout, k, m * m * n * n, 10**9)
+                        got, _ = oracle._layout_minimum(layout, k, m * m * n * n, 10**9)
+                        assert got == expected, (cls.canonical, k)
+
+    @pytest.mark.parametrize("m, n, k", BENCH_INSTANCES)
+    def test_values_match_reference_run(self, monkeypatch, m, n, k):
+        value = brute_force_run(m, n, k, BENCH_LIMITS).value
+        monkeypatch.setattr(oracle, "_layout_minimum", reference_layout_minimum)
+        assert value == brute_force_run(m, n, k, BENCH_LIMITS).value
+
+    @pytest.mark.parametrize("m, n, k, built, value", [(4, 6, 1, 47, 46), (5, 5, 3, 4, 3)])
+    def test_walk_beats_construction(self, m, n, k, built, value):
+        assert oracle._construction_incumbent(m, n, k) == built
+        assert brute_force_nu(m, n, k) == value
+
+    def test_node_count_and_budget(self):
+        # 604,104 nodes before the bound
+        nodes = 28_054
+        assert brute_force_run(5, 6, 2, BENCH_LIMITS).nodes == nodes
+        assert brute_force_run(5, 6, 2, OracleLimits(max_vertices=12, node_budget=nodes)).value == 24
+        with pytest.raises(OracleLimitError):
+            brute_force_run(5, 6, 2, OracleLimits(max_vertices=12, node_budget=nodes - 1))
 
 
 class TestLimits:
