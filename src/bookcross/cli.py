@@ -64,6 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _default_jobs() -> int:
+    """The CPUs this process may run on, or all CPUs where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bookcross", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -103,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("k", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search nodes per layout")
     p.add_argument("--export-cnf", metavar="DIR", help="also write one DIMACS file per layout")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel layout checks")
+    p.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel layout checks")
     p.add_argument("--log", metavar="FILE", help="JSONL per-layout log; not_colorable layouts are skipped on rerun")
 
     p = sub.add_parser("bounds", help="bound table for K_{k+1,n} (2 args) or K_{m,n} (3 args)")
@@ -227,15 +235,15 @@ def _cmd_verify(args) -> int:
         if log_fh:
             log_fh.truncate(0)
             log_fh.writelines(line + "\n" for line in lines)
-    # the log is closed, and so complete, before a reader can close stdout
-    for line in lines:
-        print(line)
     if args.export_cnf:
         for log in result.logs:
             g = conflict_graph(layout_from_string(log.canonical))
             name = os.path.join(args.export_cnf, f"layout_{log.canonical}_k{args.k}.cnf")
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write(export_cnf(g, args.k))
+    # the log and the CNF files are complete before a reader can close stdout
+    for line in lines:
+        print(line)
     if result.status == PROVEN:
         print(f"proven: every {args.k}-page drawing of K_{{{args.m},{args.n}}} has a crossing")
         return EXIT_OK
@@ -312,7 +320,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
     except DrawingFormatError as exc:
         print(f"malformed drawing file: {exc}", file=sys.stderr)
         return EXIT_DATA

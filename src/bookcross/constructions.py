@@ -12,16 +12,16 @@ Four constructions:
 * ``block_cyclic``     -- splits both sides into k near-equal groups placed
   alternately on the circle, page i taking the group products with index sum i.
 
-Balanced-embedding edge rules (the six families below) place windows of
-consecutive white vertices onto single black vertices.  Every window falls
-inside [0, s*t) for every k, so each is one slice of a row of the page
-array; block indices reduce mod t and black indices mod s+t.
-Correctness is not taken on faith: every constructed embedding is validated
-(each edge placed exactly once, zero crossings, balanced loads) and a
-violation raises ConstructionError.
+The balanced embedding is one closed form: with s = floor((k+1)/2) and
+t = k+1-s, the edge from black i to white j lies on page
+((j + min(i, s)(s-1)) div s + max(i-s, 0)) mod k.  Correctness is not taken
+on faith: every balanced embedding is validated (zero crossings, balanced
+loads) and a violation raises ConstructionError.
 
-Each construction fills an m x n page array, which becomes the drawing's
-pages; crossings are counted by ``drawings.count_crossings``.  The
+Each construction builds its layout from its black = 1 / white = 0 word
+through ``enumeration.layout_from_string``, which numbers the vertices
+clockwise, and fills an m x n page array, which becomes the drawing's pages;
+crossings are counted by ``drawings.count_crossings``.  The
 ``*_crossing_count`` functions keep their names but delegate to ``bounds``,
 which owns every closed form.
 """
@@ -34,11 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import block_cyclic_bound, riskin_value, turan_lower
-from .drawings import (
-    BookDrawing,
-    CircularLayout,
-    is_balanced_embedding,
-)
+from .drawings import BookDrawing, CircularLayout, is_balanced_embedding
+from .enumeration import layout_from_string
 
 
 class ConstructionError(RuntimeError):
@@ -63,15 +60,7 @@ def riskin_drawing(m: int, n: int) -> BookDrawing:
             "the closed-form crossing count does not apply",
             stacklevel=2,
         )
-    seq: list[tuple[str, int]] = []
-    w = 0
-    for i in range(m):
-        seq.append(("b", i))
-        size = group + 1 if i < rem else group
-        for _ in range(size):
-            seq.append(("w", w))
-            w += 1
-    layout = CircularLayout(tuple(seq), m, n)
+    layout = layout_from_string("".join("1" + "0" * (group + (i < rem)) for i in range(m)))
     return BookDrawing(layout, 1, np.zeros((m, n), dtype=np.int64))
 
 
@@ -124,61 +113,20 @@ def balanced_embedding(k: int) -> BookDrawing:
 
     Layout: blacks b_0..b_{s+t-1} clockwise with the white block
     W_i = {w_{i s}, ..., w_{i s + s - 1}} inserted between b_{s+i} and
-    b_{s+i+1} for i = 0..t-1.  Pages 0..s-1 take edge families I-III, pages
-    s..s+t-2 take families IV-VI.  The result is validated before returning.
+    b_{s+i+1} for i = 0..t-1, i.e. the word 1^(s+1) (0^s 1)^(t-1) 0^s.
+    Edge (b_i, w_j) lies on page
+    ((j + min(i, s)(s-1)) div s + max(i-s, 0)) mod k.
+    Every result is validated by ``is_balanced_embedding``; a failure raises
+    ConstructionError.
     """
-    params = BalancedParams.for_pages(k)
-    s, t = params.s, params.t
-    m = s + t  # = k + 1
-    st = params.white_count
-
-    seq: list[tuple[str, int]] = [("b", i) for i in range(s + 1)]
-    for i in range(t):
-        seq.extend(("w", j) for j in params.white_block(i))
-        if i < t - 1:
-            seq.append(("b", s + i + 1))
-    layout = CircularLayout(tuple(seq), m, st)
-
-    pages = np.full((m, st), -1, dtype=np.int64)  # -1: not yet placed
-
-    def put(bi: int, lo: int, hi: int, page: int) -> None:
-        """Place the edges from black bi to whites lo..hi-1 on ``page``."""
-        row = pages[bi % m]
-        placed = row[lo:hi] >= 0
-        if placed.any():
-            x = lo + int(np.argmax(placed))
-            raise ConstructionError(f"edge {(bi % m, x)} assigned twice (pages {row[x]} and {page})")
-        row[lo:hi] = page
-
-    def put_block(bi: int, block: int, page: int) -> None:
-        whites = params.white_block(block)
-        put(bi, whites.start, whites.stop, page)
-
-    for r in range(s):
-        # family I: fan of whole blocks onto the late blacks
-        for i in range(r + 1, t + 1):
-            put_block(s + i, t + r - i, r)
-        # family II: sliding windows of s whites onto b_1..b_r
-        for i in range(1, r + 1):
-            lo = r * s - i * (s - 1)
-            put(i, lo, lo + s, r)
-        # family III: prefix w_0..w_r onto b_{r+1}
-        put(r + 1, 0, r + 1, r)
-
-    for r in range(s, s + t - 1):
-        # family IV: whole blocks onto b_s..b_{r+1}
-        for i in range(r - s + 2):
-            put_block(s + i, r - s - i + 1, r)
-        # family V: sliding windows of s whites onto b_{s-1}, b_{s-2}, ...
-        for i in range(1, s - r + t - 1):
-            lo = (i + r - s + 1) * s - i
-            put(s - i, lo, lo + s, r)
-        # family VI: suffix onto b_{r-t+1}
-        put(r - t + 1, st - t + r - s + 1, st, r)
-
-    placed = int(np.count_nonzero(pages >= 0))
-    if placed != m * st:
-        raise ConstructionError(f"{placed} edges assigned, expected {m * st}")
+    s, t = balanced_parameters(k)
+    layout = layout_from_string("1" * (s + 1) + ("0" * s + "1") * (t - 1) + "0" * s)
+    rows = np.arange(k + 1)
+    # built in place: the one-expression form holds several (k+1) x st temporaries at once
+    pages = np.add.outer(np.minimum(rows, s) * (s - 1), np.arange(s * t))
+    pages //= s
+    pages += np.maximum(rows - s, 0)[:, None]
+    pages %= k
     drawing = BookDrawing(layout, k, pages)
     if not is_balanced_embedding(drawing):
         raise ConstructionError(f"k={k} construction failed the balance/planarity check")
@@ -243,14 +191,7 @@ def block_cyclic(m: int, n: int, k: int) -> BookDrawing:
     q, s = divmod(n, k)
     bsizes = [p + 1 if g >= k - r else p for g in range(k)]
     wsizes = [q + 1 if g >= k - s else q for g in range(k)]
-    seq: list[tuple[str, int]] = []
-    bi = wi = 0
-    for bsize, wsize in zip(bsizes, wsizes):
-        seq.extend(("b", i) for i in range(bi, bi + bsize))
-        seq.extend(("w", j) for j in range(wi, wi + wsize))
-        bi += bsize
-        wi += wsize
-    layout = CircularLayout(tuple(seq), m, n)
+    layout = layout_from_string("".join("1" * b + "0" * w for b, w in zip(bsizes, wsizes)))
     bgroup = np.repeat(np.arange(k), bsizes)
     wgroup = np.repeat(np.arange(k), wsizes)
     return BookDrawing(layout, k, (bgroup[:, None] + wgroup[None, :]) % k)

@@ -177,6 +177,8 @@ class BookDrawing:
     def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
         if k < 1:
             raise ValueError("page count k must be >= 1")
+        if k > np.iinfo(np.int64).max:
+            raise ValueError(f"page count k={k} out of range: beyond 64-bit integers")
         array = _page_array(pages, layout.m, layout.n)
         outside = (array < 0) | (array >= k)
         if outside.any():

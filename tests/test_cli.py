@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bookcross.cli import main
+from bookcross.cli import _build_parser, main
 from bookcross.drawings import count_crossings, from_json
 from bookcross.enumeration import canonical_form
 
@@ -17,15 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def cli_process(*argv):
+def cli_process(*argv, stdout=subprocess.PIPE):
     """``python -m bookcross.cli ARGV`` in a child that imports bookcross from
-    ``src/``, with stdout and stderr as text pipes."""
+    ``src/``, with stderr (and by default stdout) as a text pipe."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "bookcross.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
     )
 
 
@@ -215,6 +215,33 @@ class TestVerifyPagenumber:
             assert proc.wait(timeout=120) == 141
         assert err == ""
         assert len(log.read_text().splitlines()) == 1368
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_keeps_every_cnf_file(self, monkeypatch, tmp_path, unbuffered):
+        # stdout is already closed when the run starts: the write end of a
+        # pipe whose read end is gone, so the first record cannot be written
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        cnf_dir = tmp_path / "cnfs"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cli_process(
+                "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--export-cnf", str(cnf_dir), stdout=write_end
+            )
+        finally:
+            os.close(write_end)
+        with proc:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert err == ""
+        assert len(list(cnf_dir.glob("*.cnf"))) == 10
+
+    def test_jobs_default_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _build_parser().parse_args(["verify-pagenumber", "4", "5", "3"]).jobs == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _build_parser().parse_args(["verify-pagenumber", "4", "5", "3"]).jobs == 8
 
     @pytest.mark.parametrize(
         "text",
@@ -412,6 +439,16 @@ class TestErrors:
         code, _, err = run(capsys, "crossings", str(bad))
         assert code == 65
         assert err.startswith("malformed drawing file:")
+
+    @pytest.mark.parametrize("command", ["crossings", "render"])
+    def test_page_count_beyond_64_bits_exit_65(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"m": 1, "n": 1, "k": %d, "order": ["b0", "w0"], "edges": [[0, 0, 0]]}' % 10**20)
+        argv = [command, str(bad)] + (["-o", str(tmp_path / "out.svg")] if command == "render" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 65
+        assert err.startswith("malformed drawing file:") and "64-bit" in err
+        assert out == "" and not (tmp_path / "out.svg").exists()
 
     def test_missing_file_exit_65(self, capsys):
         code, _, _ = run(capsys, "crossings", "/no/such/file.json")

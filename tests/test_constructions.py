@@ -4,8 +4,10 @@ import random
 import pytest
 
 from bookcross.bounds import block_cyclic_bound, riskin_value, turan_lower, zarankiewicz
+from bookcross import constructions
 from bookcross.constructions import (
     BalancedParams,
+    ConstructionError,
     balanced_embedding,
     balanced_parameters,
     block_cyclic,
@@ -87,6 +89,22 @@ class TestBalancedEmbedding:
         assert (d5.m, d5.n) == (6, 9)
         d6 = balanced_embedding(6)
         assert (d6.m, d6.n) == (7, 12)
+
+    def test_k4_literals(self):
+        d = balanced_embedding(4)
+        assert d.layout.to_bitstring() == "11100100100"
+        assert d.page_array.tolist() == [
+            [0, 0, 1, 1, 2, 2],
+            [0, 1, 1, 2, 2, 3],
+            [1, 1, 2, 2, 3, 3],
+            [2, 2, 3, 3, 0, 0],
+            [3, 3, 0, 0, 1, 1],
+        ]
+
+    def test_failed_validation_raises(self, monkeypatch):
+        monkeypatch.setattr(constructions, "is_balanced_embedding", lambda d: False)
+        with pytest.raises(ConstructionError):
+            balanced_embedding(3)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,12 @@ class TestBookDrawingContract:
         with pytest.raises(ValueError, match="integers"):
             BookDrawing(d.layout, 3, d.page_array.astype(float))
 
+    def test_page_count_beyond_64_bits(self):
+        d = self.drawing()
+        assert BookDrawing(d.layout, 2**63 - 1, d.page_array).k == 2**63 - 1
+        with pytest.raises(ValueError, match="beyond 64-bit integers"):
+            BookDrawing(d.layout, 2**63, d.page_array)
+
 
 class TestJson:
     def test_round_trip_identity(self):
