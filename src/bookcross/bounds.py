@@ -1,13 +1,14 @@
 """Closed-form bounds and exact values for k-page crossing numbers of K_{m,n}.
 
 Everything here is exact integer or rational arithmetic.  The only irrational
-quantity appearing in any formula is k^(7/4); it is bracketed with integer
-fourth roots ( k^(7/4) = (k^7)^(1/4) ) and rounded conservatively:
+quantity in any formula is k^(7/4), and ``_ceil_scaled_k74`` alone rounds it:
+ceil(c k^(7/4)) is the integer fourth root of c^4 k^7, rounded up.
 
-* in ``asymptotic_bounds`` the lower bound's denominator is rounded *up*, so
-  the reported lower bound is never overstated;
-* in ``nonembeddable_width`` the width is the exact integer ceiling, computed
-  by integer comparisons, so the claimed width is never understated.
+* ``asymptotic_bounds`` rounds its denominator k^2 + 2000 k^(7/4) up, so the
+  reported lower bound is never overstated;
+* ``nonembeddable_width`` is the least w with 4w >= k^2 + 2000 k^(7/4); as 4w
+  is an integer, that is the least w with 4w >= k^2 + ceil(2000 k^(7/4)), an
+  exact ceiling, never understated.
 
 ``consistency_scan`` evaluates every applicable bound over a parameter grid
 and *reports* lower>upper violations instead of asserting: the even-k
@@ -23,6 +24,8 @@ from fractions import Fraction
 from math import comb, isqrt
 
 Number = int | Fraction
+
+_EXACT_K = range(2, 7)  # the k for which exact_crossing_number is established
 
 
 @dataclass(frozen=True)
@@ -99,19 +102,15 @@ def exact_crossing_number(k: int, n: int) -> int:
     Equals the clique-partition bound at s = floor((k+1)^2/4), which the
     blow-up construction attains.  At k=2 this is Z(3,n).
     """
-    if k not in (2, 3, 4, 5, 6):
-        raise ValueError("exact values are only established for k in 2..6")
+    if k not in _EXACT_K:
+        raise ValueError(f"exact values are only established for k in {_EXACT_K[0]}..{_EXACT_K[-1]}")
     return turan_lower(k, n, (k + 1) ** 2 // 4)
-
-
-def _floor_fourth_root(x: int) -> int:
-    return isqrt(isqrt(x))
 
 
 def _ceil_scaled_k74(scale: int, k: int) -> int:
     """ceil(scale * k^(7/4)) exactly: scale*k^(7/4) = (scale^4 * k^7)^(1/4)."""
     radicand = scale**4 * k**7
-    root = _floor_fourth_root(radicand)
+    root = isqrt(isqrt(radicand))
     return root if root**4 == radicand else root + 1
 
 
@@ -167,16 +166,12 @@ def block_cyclic_bound(k: int, m: int, n: int) -> int:
 
 
 def nonembeddable_width(k: int) -> int:
-    """ceil(k^2/4 + 500 k^(7/4)): K_{k+1,n} has no k-page embedding for n at
-    or beyond this width (exact integer ceiling, so never understated)."""
+    """ceil(k^2/4 + 500 k^(7/4)), the least w with 4w >= k^2 + 2000 k^(7/4):
+    K_{k+1,n} has no k-page embedding for n at or beyond it.  4w is an integer,
+    so rounding 2000 k^(7/4) up first (``_ceil_scaled_k74``) keeps w exact."""
     if k < 1:
         raise ValueError("k must be positive")
-    radicand = 500**4 * k**7  # (500 k^(7/4))^4
-    # smallest integer w with 4w - k^2 >= 0 and (4w - k^2)^4 >= 256 * radicand
-    w = (k * k + 4 * _floor_fourth_root(radicand)) // 4  # slightly below the target
-    while 4 * w - k * k < 0 or (4 * w - k * k) ** 4 < 256 * radicand:
-        w += 1
-    return w
+    return -(-(k * k + _ceil_scaled_k74(2000, k)) // 4)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +236,7 @@ def family_rows(k: int, n: int) -> list[ScanRow]:
     rows: list[ScanRow] = []
     m = k + 1
     ell = (k + 1) ** 2 // 4
-    if k in (2, 3, 4, 5, 6):
+    if k in _EXACT_K:
         rows.append(ScanRow(k, m, n, "exact_crossing_number", "exact", exact_crossing_number(k, n), True))
         rows.append(ScanRow(k, m, n, "turan_lower", "lower", turan_lower(k, n, ell), True))
     width = nonembeddable_width(k)
@@ -253,7 +248,7 @@ def family_rows(k: int, n: int) -> list[ScanRow]:
     lo, hi = asymptotic_bounds(k, n)
     rows.append(ScanRow(k, m, n, "asymptotic_lower", "lower", lo, True))
     rows.append(ScanRow(k, m, n, "asymptotic_upper", "upper", hi, True))
-    if k in (2, 3, 4, 5, 6) and n >= ell:
+    if k in _EXACT_K and n >= ell:
         # the blow-up of the balanced embedding attains the width-ell bound
         rows.append(ScanRow(k, m, n, "blowup_drawing", "upper", turan_lower(k, n, ell), True))
     rows.append(ScanRow(k, m, n, "block_cyclic_bound", "upper", block_cyclic_bound(k, m, n), True))

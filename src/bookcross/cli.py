@@ -211,7 +211,7 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
                     int(entry["nodes"]),
                     float(entry["millis"]),
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
                 raise LogFormatError(f"{path}:{lineno}: not a log record ({exc!r})") from exc
             if run != (m, n, k):
                 raise LogFormatError(f"{path}:{lineno}: record is for (m, n, k) = {run}, not {(m, n, k)}")

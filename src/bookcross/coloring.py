@@ -101,14 +101,7 @@ def conflict_graph(layout: CircularLayout) -> ConflictGraph:
 
 def _adjacency(layout: CircularLayout) -> tuple[int, ...]:
     """Neighbour bitmask per vertex, through the pairwise crossing kernel."""
-    m, n = layout.m, layout.n
-    bpos = np.asarray(layout.black_positions, dtype=np.int64)
-    wpos = np.asarray(layout.white_positions, dtype=np.int64)
-    # vertex v = i*n + j; chord endpoints normalized to lo < hi
-    x = np.repeat(bpos, n)
-    y = np.tile(wpos, m)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
+    lo, hi = layout.chords()  # vertex v = i*n + j
     # half[u, v]: lo[u] < lo[v] < hi[u] < hi[v].  A crossing pair passes in
     # exactly one orientation, so adjacency is half OR its transpose; the
     # strict inequalities keep chords that share an endpoint apart.
@@ -512,7 +505,7 @@ def verify_positive_crossing(
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a costly import
 
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))  # a fork pool starts all at once
         # one pool task costs more than a typical layout, so layouts go out in
         # batches; with 32 batches per worker, a batch that holds one slow
         # layout leaves the other workers idle for little of the run

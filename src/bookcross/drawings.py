@@ -46,7 +46,8 @@ def vertex_name(v: Vertex) -> str:
 
 def parse_vertex(name: str) -> Vertex:
     """Parse a ``"b<i>"`` / ``"w<j>"`` token; raises DrawingFormatError."""
-    if not isinstance(name, str) or len(name) < 2 or name[0] not in ("b", "w") or not name[1:].isdigit():
+    # ASCII digits only: str.isdigit() also takes "²" and other scripts' digits
+    if not (isinstance(name, str) and name[:1] in ("b", "w") and name[1:].isascii() and name[1:].isdigit()):
         raise DrawingFormatError(f"bad vertex token {name!r}")
     return (name[0], int(name[1:]))
 
@@ -96,6 +97,13 @@ class CircularLayout:
             if c == "w":
                 pos[j] = p
         return pos
+
+    def chords(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (lo, hi) spine positions of every edge's chord, lo < hi, as
+        int64 arrays holding edge (i, j) at index i*n + j."""
+        bpos = np.asarray(self.black_positions, dtype=np.int64)
+        wpos = np.asarray(self.white_positions, dtype=np.int64)
+        return np.minimum.outer(bpos, wpos).ravel(), np.maximum.outer(bpos, wpos).ravel()
 
     def rotated(self, shift: int) -> "CircularLayout":
         """Layout cyclically rotated by ``shift`` positions."""
@@ -263,10 +271,7 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     chords that share its left end among those ending at or after hi.  The
     strict bounds keep chords that share an endpoint apart.
     """
-    bpos = np.asarray(d.layout.black_positions, dtype=np.int64)
-    wpos = np.asarray(d.layout.white_positions, dtype=np.int64)
-    lo = np.minimum.outer(bpos, wpos).ravel()
-    hi = np.maximum.outer(bpos, wpos).ravel()
+    lo, hi = d.layout.chords()
     page = d.page_array.ravel()
     order = np.lexsort((-hi, lo, page))
     los = lo[order].tolist()
@@ -341,7 +346,7 @@ def from_json(text: str) -> BookDrawing:
     """Parse the canonical JSON form; every defect raises DrawingFormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, over-long integers, over-deep nesting
         raise DrawingFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DrawingFormatError("top-level value must be an object")

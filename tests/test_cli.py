@@ -251,15 +251,18 @@ class TestVerifyPagenumber:
             '{"canonical_string": "000001111", "verdict": "not_colorable", "nodes": 0, "millis": 0.1}\n',
             '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verdict": "maybe", '
             '"nodes": 0, "millis": 0.1}\n',
+            "[" * 100_000 + "\n",
+            '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verdict": "not_colorable", '
+            '"nodes": 1e400, "millis": 0.1}\n',
         ],
-        ids=["truncated", "no_canonical_string", "no_mnk", "unknown_verdict"],
+        ids=["truncated", "no_canonical_string", "no_mnk", "unknown_verdict", "over_deep_nesting", "infinite_nodes"],
     )
     def test_malformed_log_exit_65(self, capsys, tmp_path, text):
         log = tmp_path / "bad.jsonl"
         log.write_text(text)
         code, _, err = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
         assert code == 65
-        assert str(log) in err
+        assert err.startswith("malformed log file:") and str(log) in err
 
 
 class TestBounds:
@@ -430,12 +433,19 @@ class TestErrors:
             '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [[null, 0, 0]]}',
             '{"m": 1, "n": 1, "k": 1, "order": ["b0", 3], "edges": [[0, 0, 0]]}',
             '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [[0.7, 0, 0]]}',
+            '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w\u00b2"], "edges": [[0, 0, 0]]}',
+            '{"m": 1, "n": 2, "k": 1, "order": ["b0", "w0", "w\u0661"], "edges": [[0, 0, 0], [0, 1, 0]]}',
+            '{"m": 1%s, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [[0, 0, 0]]}' % ("0" * 5000),
+            "[" * 100_000,
         ],
-        ids=["zero_pages", "string_index", "null_index", "numeric_token", "float_index"],
+        ids=[
+            "zero_pages", "string_index", "null_index", "numeric_token", "float_index", "superscript_digit",
+            "arabic_indic_digit", "over_long_integer", "over_deep_nesting",
+        ],
     )
     def test_malformed_drawing_exit_65(self, capsys, tmp_path, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text(doc)
+        bad.write_text(doc, encoding="utf-8")
         code, _, err = run(capsys, "crossings", str(bad))
         assert code == 65
         assert err.startswith("malformed drawing file:")

@@ -344,6 +344,27 @@ class TestCnf:
         else:
             pytest.fail("expected a colorable K_{4,4} layout at k=3")
 
+    def test_recolored_conflict_edge_fails_cnf(self):
+        # give one end of a conflict edge its neighbour's color
+        g = conflict_graph(layout_from_string("00110011"))
+        res = is_k_colorable(g, 3)
+        assert res.status == COLORABLE
+        cnf = export_cnf(g, 3)
+        assert coloring_satisfies_cnf(cnf, res.assignment, 3)
+        u, v = next(g.edges())
+        colors = list(res.assignment)
+        colors[u] = colors[v]
+        assert not coloring_satisfies_cnf(cnf, colors, 3)
+
+    def test_parse_dimacs_skips_blank_and_comment_lines(self):
+        text = "c a comment\n\np cnf 3 2\n  \nc another\n1 -2 0\n-3 0\n"
+        assert coloring._parse_dimacs(text) == (3, [[1, -2], [-3]])
+
+    @pytest.mark.parametrize("header", ["p dnf 1 1", "p cnf 1"])
+    def test_parse_dimacs_rejects_bad_header(self, header):
+        with pytest.raises(ValueError, match="bad DIMACS header"):
+            coloring._parse_dimacs(header + "\n1 0\n")
+
 
 class TestVerifyPipeline:
     def test_k45_proven(self):
@@ -394,6 +415,36 @@ class TestVerifyPipeline:
             assert serial.witness == parallel.witness
             first = next(l.canonical for l in serial.logs if l.verdict == COLORABLE)
             assert serial.witness.layout == layout_from_string(first)
+
+    def test_pool_starts_one_worker_per_pending_layout(self, monkeypatch):
+        # a fork pool starts all max_workers at once, so K_{4,5}'s 10 layouts
+        # get 10 workers, not 64; the batches stay sized by jobs
+        import concurrent.futures
+
+        calls = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                calls.append(("workers", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                calls.append(("chunksize", chunksize))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        fanned = verify_positive_crossing(4, 5, 3, jobs=64)
+        serial = verify_positive_crossing(4, 5, 3, jobs=1)
+        assert calls == [("workers", 10), ("chunksize", 1)]
+        assert fanned.status == serial.status == "proven"
+        assert [(l.canonical, l.verdict, l.nodes) for l in fanned.logs] == [
+            (l.canonical, l.verdict, l.nodes) for l in serial.logs
+        ]
 
     def test_resumed_budget_exceeded_is_retried(self):
         strings = [lay.to_bitstring() for lay in enumerate_layouts(5, 7)]

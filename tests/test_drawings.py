@@ -334,6 +334,12 @@ class TestJson:
         with pytest.raises(DrawingFormatError, match="out of range"):
             from_json(doc)
 
+    def test_rejects_edge_out_of_range(self):
+        doc = to_json(block_cyclic(2, 2, 1)).replace("[1, 1, 0]", "[2, 0, 0]")
+        assert '"edges": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [2, 0, 0]]' in doc
+        with pytest.raises(DrawingFormatError, match=r"edge \(2,0\) out of range"):
+            from_json(doc)
+
     def test_rejects_bad_token(self):
         d = block_cyclic(2, 2, 1)
         doc = to_json(d).replace('"b0"', '"x0"')
