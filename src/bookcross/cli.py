@@ -205,12 +205,13 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
             try:
                 entry = json.loads(line)
                 run = (entry["m"], entry["n"], entry["k"])
-                log = LayoutLog(
-                    str(entry["canonical_string"]),
-                    entry["verdict"],
-                    int(entry["nodes"]),
-                    float(entry["millis"]),
-                )
+                nodes, millis = entry["nodes"], entry["millis"]
+                # type checks, not int() or float(): those read true as 1 and 1.9 as 1
+                if any(type(x) is not int for x in (*run, nodes)) or nodes < 0:
+                    raise ValueError("m, n, k and nodes must be integers, nodes at least 0")
+                if type(millis) not in (int, float) or not 0 <= millis < float("inf"):
+                    raise ValueError("millis must be a finite number, at least 0")
+                log = LayoutLog(str(entry["canonical_string"]), entry["verdict"], nodes, float(millis))
             except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
                 raise LogFormatError(f"{path}:{lineno}: not a log record ({exc!r})") from exc
             if run != (m, n, k):

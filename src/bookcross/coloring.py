@@ -19,6 +19,15 @@ child costs one OR and backtracking undoes nothing.  At desk scale (<= 91
 vertices) this is exact, so no spectral or SDP lower bound machinery is
 needed; a maximum clique, omega(g) <= chi(g), does the cheap pruning (a
 sweep over the layout, or exact search for other graphs).
+
+The sweep reads only the layout's 0/1 word.  The chords that pairwise cross
+across a spine cut are a common subsequence of the word left of the cut and
+the colour-flipped word right of it, so each cut's clique size is one
+bit-parallel LCS on Python ints (Allison and Dix, IPL 23, 1986; Hyyro,
+2004).  The clique's vertices come from one patience sort at the first cut
+of largest size, which returns the same clique, in the same order, as a
+sort at every cut; DSATUR pre-colors that clique, so node counts do not
+depend on how it was found.
 """
 
 from __future__ import annotations
@@ -115,6 +124,23 @@ def _adjacency(layout: CircularLayout) -> tuple[int, ...]:
 # Cliques
 # ---------------------------------------------------------------------------
 
+def _lcs_length(short: str, match: Mapping[str, int], width: int) -> int:
+    """Length of a longest common subsequence of ``short`` and a word of
+    ``width`` letters, given by ``match[c]``: bit i is set iff letter i of the
+    word is c.  Bits above ``width`` are ignored.
+
+    The bit-vector recurrence of Allison and Dix (IPL 23, 1986) in Hyyro's
+    form (2004): v starts as ``width`` ones, each letter of ``short`` takes
+    one add, one subtract and three logic operations, and v ends with one
+    zero per letter of the common subsequence.  Carries run only upward and
+    u is a subset of v, so bits above ``width`` never reach the bits below."""
+    v = full = (1 << width) - 1
+    for c in short:
+        u = v & match[c]
+        v = (v + u) | (v - u)
+    return width - (v & full).bit_count()
+
+
 def _crossing_chain(layout: CircularLayout) -> list[int]:
     """A largest set of pairwise-crossing chords (lo, hi): ordered by lo, both
     ends rise strictly and all straddle one spine cut p (lo <= p < hi), so per
@@ -122,50 +148,67 @@ def _crossing_chain(layout: CircularLayout) -> list[int]:
     (lo, -hi) order, the tie-break keeping chords with a shared left end
     apart.  The first cut that reaches the maximum gives the run.
 
+    A run's length at cut p needs no chords: t pairwise-crossing chords that
+    straddle p are exactly a common subsequence of length t of the left word
+    w[0..p] and the colour-flipped right word flip(w[p+1..]) (left ends in
+    order against right ends in order, each chord joining a black to a
+    white).  So each cut costs one bit-parallel LCS, with the longer side as
+    the bit vector.  The run itself, back-pointers and all, is built once, at
+    the winning cut, by the same patience sort over the chords that straddle
+    it in (lo, -hi) order, so it is the run a sort at every cut would return.
+
     A run has distinct left ends in 0..p and distinct right ends above p, and
     each chord joins a black to a white.  With bl blacks and wl whites in
     0..p, a run is thus at most min(bl, n - wl) + min(wl, m - bl) long, and a
-    cut whose bound is at most len(best) is skipped: only a strictly longer
-    run replaces best, so skipping it leaves the result as it was."""
+    cut whose bound is at most the longest run so far is skipped: only a
+    strictly longer run moves the winning cut, so skipping it changes
+    nothing."""
     m, n, seq = layout.m, layout.n, layout.seq
-    part = [i * n if c == "b" else i for c, i in seq]  # a chord's vertex i*n + j is the sum at its ends
-    opposite: dict[str, list[int]] = {"b": [], "w": []}  # per colour, the other colour's positions descending
-    for p in reversed(range(len(seq))):
-        opposite["w" if seq[p][0] == "b" else "b"].append(p)
-    chords = [(lo, hi, part[lo] + part[hi]) for lo, (c, _) in enumerate(seq) for hi in opposite[c] if hi > lo]
-    best: list[int] = []
-    prev = [-1] * (m * n)  # prev[v]: the vertex before v in its run at the current cut
-    bl = wl = 0
-    for p, (c, _) in enumerate(seq):
+    word = "".join(c for c, _ in seq)
+    size = len(word)
+    black = int(word[::-1].replace("b", "1").replace("w", "0") or "0", 2)  # bit p: position p is black
+    white = black ^ ((1 << size) - 1)
+    whole = {"b": white, "w": black}  # per letter, the positions of the other colour
+    best = bl = wl = 0
+    cut = -1
+    for p, c in enumerate(word):
         if c == "b":
             bl += 1
         else:
             wl += 1
-        if min(bl, n - wl) + min(wl, m - bl) <= len(best):
+        # min(bl, n - wl) + min(wl, m - bl), spelled out: it runs at every cut
+        if (bl if bl < n - wl else n - wl) + (wl if wl < m - bl else m - bl) <= best:
             continue
-        tails: list[int] = []  # least hi ending a run of each length
-        ends: list[int] = []  # ends[r]: the vertex with hi tails[r]
-        for lo, hi, v in chords:
-            if lo > p:
-                break
-            if hi <= p:
-                continue
+        left = p + 1
+        if 2 * left < size:  # the right word is the bit vector
+            length = _lcs_length(word[:left], {"b": white >> left, "w": black >> left}, size - left)
+        else:
+            length = _lcs_length(word[left:], whole, left)
+        if length > best:
+            best, cut = length, p
+    part = [i * n if c == "b" else i for c, i in seq]  # a chord's vertex i*n + j is the sum at its ends
+    # per colour, (hi, part[hi]) over the other colour's positions above the cut, hi descending
+    opposite: dict[str, list[tuple[int, int]]] = {"b": [], "w": []}
+    for hi in range(size - 1, cut, -1):
+        opposite["w" if word[hi] == "b" else "b"].append((hi, part[hi]))
+    tails = [size] * best  # least hi ending a run of each length; size ends none
+    ends = [-1] * (best + 1)  # ends[r + 1]: the vertex with hi tails[r]
+    prev = [-1] * (m * n)  # prev[v]: the vertex before v in its run
+    for lo in range(cut + 1):
+        base = part[lo]
+        for hi, v in opposite[word[lo]]:
+            v += base
             r = bisect_left(tails, hi)
-            prev[v] = ends[r - 1] if r else -1
-            if r == len(tails):
-                tails.append(hi)
-                ends.append(v)
-            else:
-                tails[r] = hi
-                ends[r] = v
-        if len(ends) > len(best):
-            best = []
-            v = ends[-1]
-            while v >= 0:
-                best.append(v)
-                v = prev[v]
-            best.reverse()
-    return best
+            prev[v] = ends[r]
+            tails[r] = hi
+            ends[r + 1] = v
+    chain: list[int] = []
+    v = ends[-1]
+    while v >= 0:
+        chain.append(v)
+        v = prev[v]
+    chain.reverse()
+    return chain
 
 
 def _exact_max_clique(g: ConflictGraph) -> list[int]:

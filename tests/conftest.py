@@ -67,6 +67,26 @@ def reference_crossing_chain(layout: CircularLayout) -> list[int]:
     return best
 
 
+# The length of a longest crossing run at each spine cut, by the same plain
+# sort per cut as ``reference_crossing_chain``; the sweep's bit-parallel
+# length at cut p must equal entry p.
+def reference_cut_lengths(layout: CircularLayout) -> list[int]:
+    chords = sorted(
+        (min(x, y), -max(x, y))
+        for x in layout.black_positions
+        for y in layout.white_positions
+    )
+    lengths = []
+    for p in range(len(layout.seq)):
+        tails: list[int] = []
+        for lo, neg_hi in chords:
+            if lo <= p < -neg_hi:
+                r = bisect_left(tails, -neg_hi)
+                tails[r : r + 1] = [-neg_hi]
+        lengths.append(len(tails))
+    return lengths
+
+
 # The conflict graph as it was built before its adjacency became lazy, kept
 # as the reference: the kernel runs at once and the result is hand-built, so
 # it holds no layout.  ``conflict_graph(layout).adj`` must equal its ``adj``.

@@ -29,6 +29,14 @@ def cli_process(*argv, stdout=subprocess.PIPE):
     )
 
 
+def _log_record(m, n, k, canonical="000001111", nodes="0", millis="0.1"):
+    """One ``--log`` line with each field's JSON token given as it is written."""
+    return (
+        f'{{"m": {m}, "n": {n}, "k": {k}, "canonical_string": "{canonical}", '
+        f'"verdict": "not_colorable", "nodes": {nodes}, "millis": {millis}}}\n'
+    )
+
+
 class TestCountDrawings:
     def test_5_7(self, capsys):
         code, out, _ = run(capsys, "count-drawings", "5", "7")
@@ -244,23 +252,50 @@ class TestVerifyPagenumber:
         assert _build_parser().parse_args(["verify-pagenumber", "4", "5", "3"]).jobs == 8
 
     @pytest.mark.parametrize(
-        "text",
+        "text, mnk",
         [
-            '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verd\n',
-            '{"m": 4, "n": 5, "k": 3, "verdict": "not_colorable", "nodes": 0, "millis": 0.1}\n',
-            '{"canonical_string": "000001111", "verdict": "not_colorable", "nodes": 0, "millis": 0.1}\n',
-            '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verdict": "maybe", '
-            '"nodes": 0, "millis": 0.1}\n',
-            "[" * 100_000 + "\n",
-            '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verdict": "not_colorable", '
-            '"nodes": 1e400, "millis": 0.1}\n',
+            ('{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verd\n', "4 5 3"),
+            ('{"m": 4, "n": 5, "k": 3, "verdict": "not_colorable", "nodes": 0, "millis": 0.1}\n', "4 5 3"),
+            ('{"canonical_string": "000001111", "verdict": "not_colorable", "nodes": 0, "millis": 0.1}\n', "4 5 3"),
+            (
+                '{"m": 4, "n": 5, "k": 3, "canonical_string": "000001111", "verdict": "maybe", '
+                '"nodes": 0, "millis": 0.1}\n',
+                "4 5 3",
+            ),
+            ("[" * 100_000 + "\n", "4 5 3"),
+            (_log_record(4, 5, 3, nodes="1e400"), "4 5 3"),
+            (_log_record(4, 5, 3, nodes="1.9"), "4 5 3"),
+            (_log_record(4, 5, 3, nodes="true"), "4 5 3"),
+            (_log_record(4, 5, 3, nodes="-5"), "4 5 3"),
+            (_log_record(4, 5, 3, millis="-1"), "4 5 3"),
+            (_log_record(4, 5, 3, millis="NaN"), "4 5 3"),
+            (_log_record(4, 5, 3, millis="Infinity"), "4 5 3"),
+            (_log_record(4, 5, 3, millis="true"), "4 5 3"),
+            (_log_record("3.0", 1, 2, canonical="0111"), "3 1 2"),
+            (_log_record(3, "true", 2, canonical="0111"), "3 1 2"),
         ],
-        ids=["truncated", "no_canonical_string", "no_mnk", "unknown_verdict", "over_deep_nesting", "infinite_nodes"],
+        ids=[
+            "truncated",
+            "no_canonical_string",
+            "no_mnk",
+            "unknown_verdict",
+            "over_deep_nesting",
+            "infinite_nodes",
+            "fractional_nodes",
+            "bool_nodes",
+            "negative_nodes",
+            "negative_millis",
+            "nan_millis",
+            "infinite_millis",
+            "bool_millis",
+            "float_m",
+            "bool_n",
+        ],
     )
-    def test_malformed_log_exit_65(self, capsys, tmp_path, text):
+    def test_malformed_log_exit_65(self, capsys, tmp_path, text, mnk):
         log = tmp_path / "bad.jsonl"
         log.write_text(text)
-        code, _, err = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
+        code, _, err = run(capsys, "verify-pagenumber", *mnk.split(), "--jobs", "1", "--log", str(log))
         assert code == 65
         assert err.startswith("malformed log file:") and str(log) in err
 

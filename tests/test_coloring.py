@@ -13,6 +13,7 @@ from bookcross.coloring import (
     LayoutLog,
     _crossing_chain,
     _exact_max_clique,
+    _lcs_length,
     clique_lower_bound,
     coloring_satisfies_cnf,
     coloring_to_drawing,
@@ -26,7 +27,7 @@ from bookcross.coloring import (
 from bookcross.drawings import CircularLayout, count_crossings, edges_cross, to_json
 from bookcross.enumeration import enumerate_layouts, layout_from_string
 
-from conftest import random_layout, reference_conflict_graph, reference_crossing_chain
+from conftest import random_layout, reference_conflict_graph, reference_crossing_chain, reference_cut_lengths
 
 # to_json of the K_{6,8} refutation at k=5: the first colorable layout in
 # canonical order and the coloring the search finds on it
@@ -231,6 +232,67 @@ class TestClique:
             assert clique == reference_crossing_chain(lay)
             count += len(clique) > k
         assert count == decided
+
+
+class TestBitParallelSweep:
+    def test_matches_reference_on_wide_random_layouts(self):
+        # words of 30..90 letters, wider than a 64-bit machine word, whose
+        # cuts have the right side shorter as often as the left
+        rng = random.Random(1986)
+        for size in range(30, 91, 4):
+            m = rng.randint(1, size - 1)
+            lay = random_layout(rng, m, size - m)
+            assert _crossing_chain(lay) == reference_crossing_chain(lay)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (1, 9), (2, 1), (9, 1)])
+    def test_stars_match_reference(self, m, n):
+        # chords of a star share an end, so no two cross: one chord wins
+        lay = layout_from_string("1" * m + "0" * n)
+        for shift in range(m + n):
+            rotated = lay.rotated(shift)
+            assert _crossing_chain(rotated) == reference_crossing_chain(rotated)
+            assert len(_crossing_chain(rotated)) == 1
+
+    @pytest.mark.parametrize("seq", [(), (("w", 0), ("w", 1)), (("b", 0),)], ids=["empty", "whites", "black"])
+    def test_layouts_without_chords(self, seq):
+        lay = CircularLayout.of(seq)
+        assert _crossing_chain(lay) == reference_crossing_chain(lay) == []
+
+    def test_every_cut_length_is_the_lis_length_on_k6_10(self):
+        # both orientations of the LCS: either word can be the bit vector
+        for lay in enumerate_layouts(6, 10):
+            word = "".join(c for c, _ in lay.seq)
+            black = sum(1 << p for p, c in enumerate(word) if c == "b")
+            white = sum(1 << p for p, c in enumerate(word) if c == "w")
+            for p, want in enumerate(reference_cut_lengths(lay)):
+                left = p + 1
+                shifted = {"b": white >> left, "w": black >> left}
+                assert _lcs_length(word[:left], shifted, len(word) - left) == want
+                assert _lcs_length(word[left:], {"b": white, "w": black}, left) == want
+
+    def test_lcs_length_of_plain_words(self):
+        def match(word):
+            return {c: sum(1 << i for i, x in enumerate(word) if x == c) for c in "abcd"}
+
+        assert _lcs_length("abcbdab", match("bdcaba"), 6) == 4  # bcba
+        assert _lcs_length("bdcaba", match("abcbdab"), 7) == 4
+        assert _lcs_length("", match("abc"), 3) == 0
+        assert _lcs_length("abc", match(""), 0) == 0
+        assert _lcs_length("cba", match("abc"), 3) == 1
+
+    def test_bound_skips_cuts_and_longer_side_is_the_vector(self, monkeypatch):
+        calls = []
+
+        def recording(short, match, width):
+            calls.append((len(short), width))
+            return _lcs_length(short, match, width)
+
+        monkeypatch.setattr(coloring, "_lcs_length", recording)
+        for lay in enumerate_layouts(7, 13):
+            _crossing_chain(lay)
+        # 16,677 of the 39,600 cuts reach the LCS; the rest are skipped by the bound
+        assert len(calls) == 16_677
+        assert all(short <= width for short, width in calls)
 
 
 class TestIsKColorable:
