@@ -211,11 +211,13 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
                     raise ValueError("m, n, k and nodes must be integers, nodes at least 0")
                 if type(millis) not in (int, float) or not 0 <= millis < float("inf"):
                     raise ValueError("millis must be a finite number, at least 0")
-                log = LayoutLog(str(entry["canonical_string"]), entry["verdict"], nodes, float(millis))
+                log = LayoutLog(entry["canonical_string"], entry["verdict"], nodes, float(millis))
             except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
                 raise LogFormatError(f"{path}:{lineno}: not a log record ({exc!r})") from exc
             if run != (m, n, k):
                 raise LogFormatError(f"{path}:{lineno}: record is for (m, n, k) = {run}, not {(m, n, k)}")
+            if type(log.canonical) is not str or sorted(log.canonical) != ["0"] * n + ["1"] * m:
+                raise LogFormatError(f"{path}:{lineno}: canonical_string {log.canonical!r} is not {m} 1s and {n} 0s")
             if log.verdict not in (COLORABLE, NOT_COLORABLE, BUDGET_EXCEEDED):
                 raise LogFormatError(f"{path}:{lineno}: unknown verdict {log.verdict!r}")
             done[log.canonical] = log

@@ -6,9 +6,9 @@ are adjacent iff the edges cross when drawn on a single page.  A layout
 extends to a crossing-free k-page drawing iff its conflict graph is
 k-colorable (colors = pages), so "no layout is k-colorable" certifies that
 every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from one
-vectorized pairwise crossing kernel over all chords of the layout, run on
-the first read of ``adj``: a layout whose clique sweep alone settles it
-never builds its adjacency.
+prefix-XOR table of Python-int masks over the spine, built on the first
+read of ``adj``: a layout whose clique sweep alone settles it never builds
+its adjacency.
 
 Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .drawings import BookDrawing, CircularLayout
 from .enumeration import layout_from_string, necklace_classes
@@ -102,22 +101,29 @@ class ConflictGraph:
 
 
 def conflict_graph(layout: CircularLayout) -> ConflictGraph:
-    """The conflict graph of a layout.  Its adjacency is built by the pairwise
-    crossing kernel on first read of ``adj``, so a layout that the clique
+    """The conflict graph of a layout.  Its adjacency is built from the
+    prefix-XOR table on first read of ``adj``, so a layout that the clique
     sweep settles (which reads only the layout) never builds it."""
     return ConflictGraph(layout.m, layout.n, layout=layout)
 
 
 def _adjacency(layout: CircularLayout) -> tuple[int, ...]:
-    """Neighbour bitmask per vertex, through the pairwise crossing kernel."""
-    lo, hi = layout.chords()  # vertex v = i*n + j
-    # half[u, v]: lo[u] < lo[v] < hi[u] < hi[v].  A crossing pair passes in
-    # exactly one orientation, so adjacency is half OR its transpose; the
-    # strict inequalities keep chords that share an endpoint apart.
-    half = (lo[:, None] < lo) & (lo < hi[:, None]) & (hi[:, None] < hi)
-    # bit v of row u's little-endian bytes is entry (u, v)
-    packed = np.packbits(half | half.T, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    """Neighbour bitmask per vertex.  For the chord with ends x and y,
+    ``prefix[x] ^ prefix[y]`` holds the chords with exactly one end at a
+    position from min(x, y) up to but not including max(x, y).  Less the
+    chords that share an end with it (every chord at min(x, y) among them),
+    these are the chords it crosses, by ``edges_cross``'s rule."""
+    m, n = layout.m, layout.n
+    row = (1 << n) - 1  # the chords of black 0
+    col = sum(1 << (i * n) for i in range(m))  # the chords of white 0
+    prefix = [0]  # prefix[p]: XOR of the chord masks of the vertices at positions below p
+    for c, i in layout.seq:
+        prefix.append(prefix[-1] ^ (row << (i * n) if c == "b" else col << i))
+    return tuple(
+        (prefix[x] ^ prefix[y]) & ~(row << (i * n) | col << j)  # vertex v = i*n + j
+        for i, x in enumerate(layout.black_positions)
+        for j, y in enumerate(layout.white_positions)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,61 +412,33 @@ def solve_dimacs(text: str) -> dict[int, bool] | None:
     colorability CNFs this package exports, not as a general SAT solver.
     """
     nvars, clauses = _parse_dimacs(text)
-    assign: dict[int, bool] = {}
 
-    def propagate(clauses: list[list[int]], assign: dict[int, bool]) -> list[list[int]] | None:
-        changed = True
-        while changed:
-            changed = False
-            next_clauses: list[list[int]] = []
-            for clause in clauses:
-                live: list[int] = []
-                satisfied = False
-                for lit in clause:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        live.append(lit)
-                    elif (lit > 0) == val:
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not live:
-                    return None
-                if len(live) == 1:
-                    lit = live[0]
-                    assign[abs(lit)] = lit > 0
-                    changed = True
-                else:
-                    next_clauses.append(live)
-            clauses = next_clauses
-        return clauses
-
-    def search(clauses: list[list[int]], assign: dict[int, bool]) -> dict[int, bool] | None:
-        reduced = propagate(clauses, assign)
-        if reduced is None:
-            return None
-        if not reduced:
-            return assign
-        counts: dict[int, int] = {}
-        for clause in reduced:
-            for lit in clause:
-                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
+    def search(clauses: list[list[int]], true: set[int]) -> set[int] | None:
+        """Grow ``true``, the literals set so far, to a model of ``clauses``, or return None."""
+        while True:
+            clauses = [[lit for lit in c if -lit not in true] for c in clauses if true.isdisjoint(c)]
+            if not all(clauses):
+                return None
+            units = {c[0] for c in clauses if len(c) == 1}
+            if not units:
+                break
+            if any(-lit in units for lit in units):
+                return None
+            true = true | units
+        if not clauses:
+            return true
+        counts = Counter(abs(lit) for c in clauses for lit in c)
         var = max(counts, key=lambda v: (counts[v], -v))
-        for value in (True, False):
-            trial = dict(assign)
-            trial[var] = value
-            result = search([list(c) for c in reduced], trial)
-            if result is not None:
-                return result
+        for lit in (var, -var):
+            model = search(clauses, true | {lit})
+            if model is not None:
+                return model
         return None
 
-    result = search(clauses, assign)
-    if result is None:
+    model = search(clauses, set())
+    if model is None:
         return None
-    for v in range(1, nvars + 1):
-        result.setdefault(v, False)
-    return result
+    return {v: v in model for v in range(1, nvars + 1)} | {abs(lit): lit > 0 for lit in model}
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +483,7 @@ class PipelineResult:
 
 def coloring_to_drawing(layout: CircularLayout, colors: Sequence[int], k: int) -> BookDrawing:
     """Interpret a proper conflict-graph coloring as a page assignment."""
-    return BookDrawing(layout, k, np.reshape(colors, (layout.m, layout.n)))
+    return BookDrawing(layout, k, [colors[i * layout.n : (i + 1) * layout.n] for i in range(layout.m)])
 
 
 def check_layout(canonical: str, k: int, budget: int = DEFAULT_NODE_BUDGET) -> tuple[LayoutLog, tuple[int, ...] | None]:

@@ -16,7 +16,7 @@ array as a mapping from edges to pages.
 
 ``count_crossings`` counts each page with one sorted sweep over its chords,
 and the scalar ``edges_cross`` stays as the independent reference for it and
-for the pairwise kernel of ``coloring.conflict_graph``.  Closed-form crossing
+for the prefix-XOR build of ``coloring.conflict_graph``.  Closed-form crossing
 totals live in ``bounds``.  Every count is an exact Python integer.
 """
 

@@ -87,9 +87,11 @@ def reference_cut_lengths(layout: CircularLayout) -> list[int]:
     return lengths
 
 
-# The conflict graph as it was built before its adjacency became lazy, kept
-# as the reference: the kernel runs at once and the result is hand-built, so
-# it holds no layout.  ``conflict_graph(layout).adj`` must equal its ``adj``.
+# The pairwise crossing kernel, kept as the reference now that it lives only
+# here: it compares the chord ends of every pair of edges in numpy, while
+# ``coloring._adjacency`` XORs prefix masks of Python ints, so the two are
+# independent constructions.  The result is hand-built, so it holds no
+# layout.  ``conflict_graph(layout).adj`` must equal its ``adj``.
 def reference_conflict_graph(layout: CircularLayout) -> ConflictGraph:
     """Build the conflict graph of a layout through the pairwise crossing kernel."""
     m, n = layout.m, layout.n

@@ -29,10 +29,10 @@ def cli_process(*argv, stdout=subprocess.PIPE):
     )
 
 
-def _log_record(m, n, k, canonical="000001111", nodes="0", millis="0.1"):
+def _log_record(m, n, k, canonical='"000001111"', nodes="0", millis="0.1"):
     """One ``--log`` line with each field's JSON token given as it is written."""
     return (
-        f'{{"m": {m}, "n": {n}, "k": {k}, "canonical_string": "{canonical}", '
+        f'{{"m": {m}, "n": {n}, "k": {k}, "canonical_string": {canonical}, '
         f'"verdict": "not_colorable", "nodes": {nodes}, "millis": {millis}}}\n'
     )
 
@@ -271,8 +271,12 @@ class TestVerifyPagenumber:
             (_log_record(4, 5, 3, millis="NaN"), "4 5 3"),
             (_log_record(4, 5, 3, millis="Infinity"), "4 5 3"),
             (_log_record(4, 5, 3, millis="true"), "4 5 3"),
-            (_log_record("3.0", 1, 2, canonical="0111"), "3 1 2"),
-            (_log_record(3, "true", 2, canonical="0111"), "3 1 2"),
+            (_log_record("3.0", 1, 2, canonical='"0111"'), "3 1 2"),
+            (_log_record(3, "true", 2, canonical='"0111"'), "3 1 2"),
+            (_log_record(4, 5, 3, canonical="123"), "4 5 3"),
+            (_log_record(4, 5, 3, canonical="null"), "4 5 3"),
+            (_log_record(4, 5, 3, canonical='"abc"'), "4 5 3"),
+            (_log_record(4, 5, 3, canonical='"0000011111"'), "4 5 3"),
         ],
         ids=[
             "truncated",
@@ -290,6 +294,10 @@ class TestVerifyPagenumber:
             "bool_millis",
             "float_m",
             "bool_n",
+            "int_canonical",
+            "null_canonical",
+            "letters_canonical",
+            "wrong_split_canonical",
         ],
     )
     def test_malformed_log_exit_65(self, capsys, tmp_path, text, mnk):

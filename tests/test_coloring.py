@@ -62,6 +62,37 @@ def brute_force_colorable(g, k):
     return False
 
 
+def is_model(model, nvars, clauses):
+    """True iff ``model`` sets every variable 1..nvars and satisfies each clause."""
+    return set(range(1, nvars + 1)) <= model.keys() and all(
+        any(model[abs(lit)] == (lit > 0) for lit in clause) for clause in clauses
+    )
+
+
+def truth_table_sat(nvars, clauses):
+    """Satisfiability by trying all 2^nvars assignments (bit v-1 is variable v)."""
+    return any(
+        all(any((bits >> (abs(lit) - 1) & 1) == (lit > 0) for lit in clause) for clause in clauses)
+        for bits in range(1 << nvars)
+    )
+
+
+def random_cnf(rng):
+    """1-9 variables and 0-35 clauses of 1-3 literals, a fifth of them with a
+    clashing pair of unit clauses at random places."""
+    nvars = rng.randint(1, 9)
+    clauses = [
+        [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 35))
+    ]
+    if rng.random() < 0.2:
+        v = rng.randint(1, nvars)
+        clauses.insert(rng.randint(0, len(clauses)), [v])
+        clauses.insert(rng.randint(0, len(clauses)), [-v])
+    text = f"p cnf {nvars} {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    return text, nvars, clauses
+
+
 class TestConflictGraph:
     def test_planar_layout_has_no_conflicts(self):
         g = conflict_graph(CircularLayout.of([("b", 0), ("w", 0), ("b", 1), ("w", 1)]))
@@ -111,6 +142,32 @@ class TestLazyAdjacency:
         for _ in range(200):
             lay = random_layout(rng, rng.randint(1, 7), rng.randint(1, 13))
             assert conflict_graph(lay).adj == reference_conflict_graph(lay).adj
+
+    def test_matches_reference_on_wide_layouts(self):
+        # masks up to 900 bits wide, past any machine word
+        rng = random.Random(17)
+        for _ in range(40):
+            lay = random_layout(rng, rng.randint(1, 30), rng.randint(1, 30))
+            assert conflict_graph(lay).adj == reference_conflict_graph(lay).adj
+        for m, n in ((30, 30), (1, 30), (30, 1)):
+            lay = random_layout(rng, m, n)
+            assert conflict_graph(lay).adj == reference_conflict_graph(lay).adj
+
+    def test_wide_layouts_match_scalar_predicate(self):
+        rng = random.Random(19)
+        for m, n in ((30, 30), (23, 29), (29, 17)):
+            lay = random_layout(rng, m, n)
+            adj = conflict_graph(lay).adj
+            for _ in range(3000):
+                u, v = rng.randrange(m * n), rng.randrange(m * n)
+                assert bool(adj[u] >> v & 1) == edges_cross(lay, divmod(u, n), divmod(v, n))
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (1, 7), (0, 0)], ids=["whites_only", "one_black", "empty"])
+    def test_chordless_layouts(self, m, n):
+        lay = random_layout(random.Random(23), m, n)
+        g = conflict_graph(lay)
+        assert g.adj == reference_conflict_graph(lay).adj == (0,) * (m * n)
+        assert g.edge_count == 0 and is_k_colorable(g, 1).status == COLORABLE
 
     def test_layouts_with_one_split_compare_unequal(self):
         a, b = (conflict_graph(layout_from_string(s)) for s in ("000001111", "001010101"))
@@ -417,6 +474,30 @@ class TestCnf:
         colors = list(res.assignment)
         colors[u] = colors[v]
         assert not coloring_satisfies_cnf(cnf, colors, 3)
+
+    def test_models_satisfy_exported_cnfs(self):
+        cnfs = [export_cnf(graph_from_edges(2, [(0, 1)]), 2), export_cnf(complete_graph(4), 4)]
+        cnfs += [export_cnf(conflict_graph(lay), 3) for lay in enumerate_layouts(4, 4)]
+        sat = 0
+        for cnf in cnfs:
+            model = solve_dimacs(cnf)
+            if model is not None:
+                sat += 1
+                assert is_model(model, *coloring._parse_dimacs(cnf))
+        assert sat >= 3
+
+    def test_random_cnfs_match_truth_table(self):
+        rng = random.Random(53)
+        answers = set()
+        for _ in range(1500):
+            text, nvars, clauses = random_cnf(rng)
+            model = solve_dimacs(text)
+            expected = truth_table_sat(nvars, clauses)
+            assert (model is not None) == expected, text
+            if model is not None:
+                assert is_model(model, nvars, clauses), text
+            answers.add(expected)
+        assert answers == {True, False}
 
     def test_parse_dimacs_skips_blank_and_comment_lines(self):
         text = "c a comment\n\np cnf 3 2\n  \nc another\n1 -2 0\n-3 0\n"
