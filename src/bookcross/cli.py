@@ -41,7 +41,7 @@ from .coloring import (
 )
 from .constructions import balanced_embedding, block_cyclic, blowup, riskin_drawing
 from .drawings import DrawingFormatError, count_crossings, from_json, to_json
-from .enumeration import _bracelets, count_formula, layout_from_string
+from .enumeration import _bracelets, canonical_form, count_formula, layout_from_string
 from .oracle import DEFAULT_LIMITS, OracleLimits, OracleLimitError, brute_force_run
 from .render import render_svg
 
@@ -218,6 +218,8 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
                 raise LogFormatError(f"{path}:{lineno}: record is for (m, n, k) = {run}, not {(m, n, k)}")
             if type(log.canonical) is not str or sorted(log.canonical) != ["0"] * n + ["1"] * m:
                 raise LogFormatError(f"{path}:{lineno}: canonical_string {log.canonical!r} is not {m} 1s and {n} 0s")
+            if canonical_form(log.canonical) != log.canonical:
+                raise LogFormatError(f"{path}:{lineno}: canonical_string {log.canonical!r} is not a canonical form")
             if log.verdict not in (COLORABLE, NOT_COLORABLE, BUDGET_EXCEEDED):
                 raise LogFormatError(f"{path}:{lineno}: unknown verdict {log.verdict!r}")
             done[log.canonical] = log

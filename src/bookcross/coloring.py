@@ -14,8 +14,12 @@ Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
 0, 1, 2, ... and new color classes are only introduced in first-use order.
 The search passes its state down by value as bitmasks (the uncolored
-vertices, and per color the vertices with a neighbour of that color), so a
-child costs one OR and backtracking undoes nothing.  At desk scale (<= 91
+vertices, per color the vertices with a neighbour of that color, and per
+saturation level the uncolored vertices that see that many colors), so
+backtracking undoes nothing.  The levels are built once, from the clique; a
+child moves its vertex's newly constrained neighbours up one level, O(k)
+mask operations, and a child in which some vertex would see all k colors is
+counted as a node without being entered.  At desk scale (<= 91
 vertices) this is exact, so no spectral or SDP lower bound machinery is
 needed; a maximum clique, omega(g) <= chi(g), does the cheap pruning (a
 sweep over the layout, or exact search for other graphs).
@@ -38,7 +42,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, Mapping, Sequence
 
 from .drawings import BookDrawing, CircularLayout
@@ -284,7 +288,13 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     so NOT_COLORABLE genuinely means no proper k-coloring exists.  Each node
     branches on an uncolored vertex seeing the most colors, then of highest
     degree, then of lowest index.  The search state is passed down by value
-    as bitmasks, so a child ORs one adjacency mask in and nothing is undone.
+    as bitmasks, so nothing is undone: per color the vertices with a
+    neighbour of that color, and per saturation level s the uncolored
+    vertices that see exactly s colors.  The levels are built once from the
+    clique; coloring v with c moves v's uncolored neighbours not yet next to
+    c up one level, top level first.  A child in which some vertex would see
+    all k colors is counted as a node but not entered: its branching vertex
+    would have no color to try.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -298,45 +308,70 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
         return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))
 
     adj = g.adj
-    degree = [mask.bit_count() for mask in adj]
-    # vertices of equal degree, highest degree first
-    tiers = [sum(1 << v for v in range(nvert) if degree[v] == d) for d in sorted(set(degree), reverse=True)]
+    by_degree: dict[int, int] = {}  # degree -> its vertices
+    for v, mask in enumerate(adj):
+        d = mask.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]  # highest degree first
     color = [-1] * nvert
     forbid = [0] * k
     for c, v in enumerate(clique):
         color[v] = c
         forbid[c] = adj[v]
+    free = (1 << nvert) - 1 - sum(1 << v for v in clique)
+    level = [free] + [0] * k
+    for c in range(len(clique)):
+        for s in range(c, -1, -1):
+            moved = level[s] & forbid[c]
+            level[s] ^= moved
+            level[s + 1] |= moved
     nodes = 0
 
-    def extend(free: int, forbid: list[int], used: int) -> bool:
-        """free: uncolored vertices; forbid[c]: vertices with a neighbour colored c."""
+    def extend(free: int, forbid: list[int], level: list[int], used: int) -> bool:
+        """free: uncolored vertices; forbid[c]: vertices with a neighbour
+        colored c; level[s]: the free vertices that see exactly s colors."""
         nonlocal nodes
         if not free:
             return True
-        sat = [free] + [0] * used  # sat[s]: free vertices that see at least s colors
-        for c in range(used):
-            seen = forbid[c] & free
-            for s in range(c + 1, 0, -1):
-                sat[s] |= sat[s - 1] & seen
-        most = next(mask for mask in reversed(sat) if mask)
-        pick = next(most & tier for tier in tiers if most & tier)
+        top = k
+        while not level[top]:
+            top -= 1
+        most = level[top]
+        for tier in tiers:
+            pick = most & tier
+            if pick:
+                break
         low = pick & -pick
         v = low.bit_length() - 1
+        near = adj[v] & (free ^ low)
         for c in range(min(used + 1, k)):  # one fresh color at most
             if forbid[c] & low:
                 continue
             nodes += 1
             if nodes > budget:
                 raise _Budget
+            new = near & ~forbid[c]  # the free neighbours that see c for the first time
+            if new & level[k - 1]:
+                continue  # one of them would see all k colors
             color[v] = c
             child = forbid.copy()
             child[c] |= adj[v]
-            if extend(free ^ low, child, max(used, c + 1)):
+            raised = level.copy()
+            raised[top] ^= low
+            s = top  # no free vertex sees more than top colors
+            while new:
+                moved = raised[s] & new
+                if moved:
+                    raised[s] ^= moved
+                    raised[s + 1] |= moved
+                    new ^= moved
+                s -= 1
+            if extend(free ^ low, child, raised, max(used, c + 1)):
                 return True
         return False
 
     try:
-        ok = extend((1 << nvert) - 1 - sum(1 << v for v in clique), forbid, len(clique))
+        ok = extend(free, forbid, level, len(clique))
     except _Budget:
         return ColoringResult(BUDGET_EXCEEDED, None, nodes, _ms(start))
     if not ok:
@@ -414,20 +449,30 @@ def solve_dimacs(text: str) -> dict[int, bool] | None:
     nvars, clauses = _parse_dimacs(text)
 
     def search(clauses: list[list[int]], true: set[int]) -> set[int] | None:
-        """Grow ``true``, the literals set so far, to a model of ``clauses``, or return None."""
-        while True:
-            clauses = [[lit for lit in c if -lit not in true] for c in clauses if true.isdisjoint(c)]
-            if not all(clauses):
-                return None
-            units = {c[0] for c in clauses if len(c) == 1}
-            if not units:
-                break
-            if any(-lit in units for lit in units):
-                return None
-            true = true | units
+        """Grow ``true``, the literals set so far (a set of the caller's that
+        this call may add to), to a model of ``clauses``, or return None."""
+        false = {-lit for lit in true}
+        grew = True
+        while grew:  # a pass that sets no unit leaves every clause reduced
+            grew = False
+            live = []
+            for c in clauses:
+                if not true.isdisjoint(c):
+                    continue
+                if not false.isdisjoint(c):
+                    c = [lit for lit in c if lit not in false]
+                    if not c:
+                        return None
+                if len(c) == 1:  # set at once, so the clauses after it see it
+                    true.add(c[0])
+                    false.add(-c[0])
+                    grew = True
+                else:
+                    live.append(c)
+            clauses = live
         if not clauses:
             return true
-        counts = Counter(abs(lit) for c in clauses for lit in c)
+        counts = Counter(map(abs, chain.from_iterable(clauses)))
         var = max(counts, key=lambda v: (counts[v], -v))
         for lit in (var, -var):
             model = search(clauses, true | {lit})

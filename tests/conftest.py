@@ -1,12 +1,24 @@
 """Shared reference implementations (kept independent of the fast paths)."""
 
 import random
+import time
 from bisect import bisect_left
 from typing import Iterator
 
 import numpy as np
 
-from bookcross.coloring import ConflictGraph, conflict_graph
+from bookcross.coloring import (
+    BUDGET_EXCEEDED,
+    COLORABLE,
+    DEFAULT_NODE_BUDGET,
+    NOT_COLORABLE,
+    ColoringResult,
+    ConflictGraph,
+    _Budget,
+    _ms,
+    conflict_graph,
+    find_clique,
+)
 from bookcross.drawings import BookDrawing, CircularLayout, edges_cross
 from bookcross.enumeration import NecklaceClass
 from bookcross.oracle import OracleLimitError
@@ -109,6 +121,82 @@ def reference_conflict_graph(layout: CircularLayout) -> ConflictGraph:
     # bit v of row u's little-endian bytes is entry (u, v)
     packed = np.packbits(half | half.T, axis=1, bitorder="little")
     return ConflictGraph(m, n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+
+
+# The DSATUR search as it was before it kept saturation levels, kept as the
+# reference: every node rebuilds the saturation masks from the per-color
+# forbid masks, and a child in which a vertex sees all k colors is entered
+# and returns at once.  ``is_k_colorable`` must return the same status, node
+# count and assignment.
+def reference_is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> ColoringResult:
+    """Exhaustive DSATUR-ordered backtracking k-colorability decision.
+
+    One clique is pre-colored 0,1,2,... and remaining color classes are
+    introduced in first-use order; both reductions preserve completeness,
+    so NOT_COLORABLE genuinely means no proper k-coloring exists.  Each node
+    branches on an uncolored vertex seeing the most colors, then of highest
+    degree, then of lowest index.  The search state is passed down by value
+    as bitmasks, so a child ORs one adjacency mask in and nothing is undone.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    start = time.perf_counter()
+    nvert = g.vertex_count
+    if nvert == 0:
+        return ColoringResult(COLORABLE, (), 0, _ms(start))
+
+    clique = find_clique(g)
+    if len(clique) > k:
+        return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))
+
+    adj = g.adj
+    degree = [mask.bit_count() for mask in adj]
+    # vertices of equal degree, highest degree first
+    tiers = [sum(1 << v for v in range(nvert) if degree[v] == d) for d in sorted(set(degree), reverse=True)]
+    color = [-1] * nvert
+    forbid = [0] * k
+    for c, v in enumerate(clique):
+        color[v] = c
+        forbid[c] = adj[v]
+    nodes = 0
+
+    def extend(free: int, forbid: list[int], used: int) -> bool:
+        """free: uncolored vertices; forbid[c]: vertices with a neighbour colored c."""
+        nonlocal nodes
+        if not free:
+            return True
+        sat = [free] + [0] * used  # sat[s]: free vertices that see at least s colors
+        for c in range(used):
+            seen = forbid[c] & free
+            for s in range(c + 1, 0, -1):
+                sat[s] |= sat[s - 1] & seen
+        most = next(mask for mask in reversed(sat) if mask)
+        pick = next(most & tier for tier in tiers if most & tier)
+        low = pick & -pick
+        v = low.bit_length() - 1
+        for c in range(min(used + 1, k)):  # one fresh color at most
+            if forbid[c] & low:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            color[v] = c
+            child = forbid.copy()
+            child[c] |= adj[v]
+            if extend(free ^ low, child, max(used, c + 1)):
+                return True
+        return False
+
+    try:
+        ok = extend((1 << nvert) - 1 - sum(1 << v for v in clique), forbid, len(clique))
+    except _Budget:
+        return ColoringResult(BUDGET_EXCEEDED, None, nodes, _ms(start))
+    if not ok:
+        return ColoringResult(NOT_COLORABLE, None, nodes, _ms(start))
+    witness = tuple(color)
+    if not g.is_proper(witness):
+        raise AssertionError("search returned an improper coloring; internal bug")
+    return ColoringResult(COLORABLE, witness, nodes, _ms(start))
 
 
 # The bracelet generator as it was before the anchor test, kept as the

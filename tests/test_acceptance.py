@@ -1,6 +1,6 @@
 """Acceptance suite: one test per headline claim, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The two large
+Run with ``pytest tests/test_acceptance.py -v -s``.  The three large
 verification runs of criterion 9 are gated behind BOOKCROSS_EXTENDED=1; they
 complete in seconds here but are kept out of the default suite by design.
 """
@@ -35,6 +35,8 @@ from bookcross.enumeration import count_formula, enumerate_layouts, necklace_cla
 from bookcross.oracle import brute_force_nu
 
 from math import comb
+
+from conftest import pairwise_crossing_total
 
 
 def _report(name: str, started: float, limit_s: float, detail: str) -> None:
@@ -188,7 +190,15 @@ def test_criterion_9_extended_pagenumber_runs():
     r2 = verify_positive_crossing(7, 13, 6)
     assert r2.status == "proven"
     assert len(r2.logs) == 1980
+    # the search at a million nodes: the DSATUR order, the clique pre-coloring
+    # and the first-use color rule fix the total and the witness
+    r3 = verify_positive_crossing(8, 8, 6)
+    assert r3.status == "refuted"
+    assert sum(log.nodes for log in r3.logs) == 1301588
+    assert count_crossings(r3.witness).total == 0
+    assert pairwise_crossing_total(r3.witness) == 0
     _report(
         "criterion 9 (extended verifications)", start, 4 * 3600,
-        "K_{6,10} at k=5 over 280 layouts and K_{7,13} at k=6 over 1980 layouts both proven",
+        "K_{6,10} at k=5 over 280 layouts and K_{7,13} at k=6 over 1980 layouts both proven; "
+        "K_{8,8} at k=6 refuted after 1,301,588 search nodes by a witness with 0 crossings",
     )

@@ -277,6 +277,7 @@ class TestVerifyPagenumber:
             (_log_record(4, 5, 3, canonical="null"), "4 5 3"),
             (_log_record(4, 5, 3, canonical='"abc"'), "4 5 3"),
             (_log_record(4, 5, 3, canonical='"0000011111"'), "4 5 3"),
+            (_log_record(4, 5, 3, canonical='"111100000"'), "4 5 3"),
         ],
         ids=[
             "truncated",
@@ -298,6 +299,7 @@ class TestVerifyPagenumber:
             "null_canonical",
             "letters_canonical",
             "wrong_split_canonical",
+            "rotated_canonical",
         ],
     )
     def test_malformed_log_exit_65(self, capsys, tmp_path, text, mnk):

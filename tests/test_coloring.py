@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -27,7 +28,13 @@ from bookcross.coloring import (
 from bookcross.drawings import CircularLayout, count_crossings, edges_cross, to_json
 from bookcross.enumeration import enumerate_layouts, layout_from_string
 
-from conftest import random_layout, reference_conflict_graph, reference_crossing_chain, reference_cut_lengths
+from conftest import (
+    random_layout,
+    reference_conflict_graph,
+    reference_crossing_chain,
+    reference_cut_lengths,
+    reference_is_k_colorable,
+)
 
 # to_json of the K_{6,8} refutation at k=5: the first colorable layout in
 # canonical order and the coloring the search finds on it
@@ -413,6 +420,110 @@ class TestIsKColorable:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             is_k_colorable(graph_from_edges(2, []), 0)
+
+
+def outcome(res):
+    return res.status, res.nodes, res.assignment
+
+
+def open_graphs(m, n, k):
+    """The conflict graphs of the layouts of K_{m,n} that the clique bound leaves open at k."""
+    return [g for g in map(conflict_graph, enumerate_layouts(m, n)) if len(find_clique(g)) <= k]
+
+
+def random_graph(rng, nvert, p):
+    return graph_from_edges(nvert, [e for e in itertools.combinations(range(nvert), 2) if rng.random() < p])
+
+
+def extend_calls(search, g, k):
+    """Run ``search(g, k)`` and count the calls of its ``extend``: all of them,
+    and those but the root that returned False without calling ``extend``."""
+    made_call = []  # per open extend call, whether it has called extend
+    calls = dead = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, dead
+        if frame.f_code.co_name != "extend":
+            return
+        if event == "call":
+            calls += 1
+            if made_call:
+                made_call[-1] = True
+            made_call.append(False)
+        elif event == "return":
+            if not made_call.pop() and made_call and arg is False:
+                dead += 1
+
+    sys.setprofile(profile)
+    try:
+        res = search(g, k)
+    finally:
+        sys.setprofile(None)
+    return res, calls, dead
+
+
+class TestSaturationLevels:
+    """The search with incremental saturation levels against the search that
+    rebuilds them at every node: same status, node count and coloring."""
+
+    @pytest.mark.parametrize("m, n, k", [(5, 7, 4), (6, 8, 5), (6, 10, 5)])
+    def test_every_layout_matches_reference(self, m, n, k):
+        for lay in enumerate_layouts(m, n):
+            g = conflict_graph(lay)
+            assert outcome(is_k_colorable(g, k)) == outcome(reference_is_k_colorable(g, k)), lay.seq
+
+    def test_open_k7_12_layouts_match_reference(self):
+        graphs = open_graphs(7, 12, 6)
+        assert len(graphs) == 1368 - 1141
+        for g in graphs:
+            assert outcome(is_k_colorable(g, 6)) == outcome(reference_is_k_colorable(g, 6)), g.layout.seq
+
+    def test_budgets_run_out_where_reference_does(self):
+        cases = 0
+        for g in open_graphs(6, 8, 5):
+            total = reference_is_k_colorable(g, 5).nodes
+            if total < 20:
+                continue
+            for budget in sorted({0, 1, total // 3, total // 2, total - 1, total}):
+                got = is_k_colorable(g, 5, budget)
+                assert outcome(got) == outcome(reference_is_k_colorable(g, 5, budget)), (g.layout.seq, budget)
+                assert (got.status == BUDGET_EXCEEDED) == (budget < total)
+                cases += 1
+        assert cases >= 100
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_random_hand_built_graphs_match_reference(self, k):
+        rng = random.Random(7100 + k)
+        statuses = set()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 18), rng.uniform(0.1, 0.7))
+            got = is_k_colorable(g, k)
+            assert outcome(got) == outcome(reference_is_k_colorable(g, k)), g.adj
+            statuses.add(got.status)
+        assert statuses == {COLORABLE, NOT_COLORABLE}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_root_wipeout_has_no_nodes(self, k, monkeypatch):
+        # a k-clique plus a vertex adjacent to all of it
+        g = complete_graph(k + 1)
+        assert outcome(is_k_colorable(g, k)) == (NOT_COLORABLE, 0, None)
+        # pre-colored from the k-clique alone, the last vertex sees all k colors at the root
+        monkeypatch.setattr(coloring, "find_clique", lambda g: list(range(k)))
+        assert outcome(is_k_colorable(g, k)) == (NOT_COLORABLE, 0, None)
+
+    def test_child_with_a_wipeout_is_counted_not_entered(self):
+        # the reference enters one call per node and the root; a call of its
+        # that returns False without a call of its own had a vertex seeing
+        # all k colors, and is the child that the level search counts and skips
+        skipped = 0
+        for g in open_graphs(6, 8, 5):
+            res, calls, _ = extend_calls(is_k_colorable, g, 5)
+            ref, ref_calls, wipeouts = extend_calls(reference_is_k_colorable, g, 5)
+            assert outcome(res) == outcome(ref)
+            assert ref_calls == ref.nodes + 1
+            assert calls == ref_calls - wipeouts
+            skipped += wipeouts
+        assert skipped > 100
 
 
 class TestCnf:
