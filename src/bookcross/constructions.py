@@ -24,14 +24,15 @@ clockwise, and fills an m x n page array, which becomes the drawing's pages;
 crossings are counted by ``drawings.count_crossings``.  The
 ``*_crossing_count`` functions keep their names but delegate to ``bounds``,
 which owns every closed form.
+
+Importing this module does not import numpy; each construction imports it
+when it fills its page array.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bounds import block_cyclic_bound, riskin_value, turan_lower
 from .drawings import BookDrawing, CircularLayout, is_balanced_embedding
@@ -51,6 +52,8 @@ def riskin_drawing(m: int, n: int) -> BookDrawing:
     extension is flagged with a UserWarning since the optimality guarantee
     only covers the divisible case.
     """
+    import numpy as np
+
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     group, rem = divmod(n, m)
@@ -119,6 +122,8 @@ def balanced_embedding(k: int) -> BookDrawing:
     Every result is validated by ``is_balanced_embedding``; a failure raises
     ConstructionError.
     """
+    import numpy as np
+
     s, t = balanced_parameters(k)
     layout = layout_from_string("1" * (s + 1) + ("0" * s + "1") * (t - 1) + "0" * s)
     rows = np.arange(k + 1)
@@ -142,6 +147,8 @@ def blowup(base: BookDrawing, n: int) -> BookDrawing:
     after the original) and inherit its page per edge.  The resulting total is
     q*C((n-q)/ell + 1, 2) + (ell-q)*C((n-q)/ell, 2).
     """
+    import numpy as np
+
     if not is_balanced_embedding(base):
         raise ValueError("blow-up base must be a balanced embedding")
     ell = base.n
@@ -183,6 +190,8 @@ def block_cyclic(m: int, n: int, k: int) -> BookDrawing:
     B_j x W_t with j + t = i (mod k).  The crossing total is
     (m-r)(n-s)(m-k+r)(n-k+s) / (4 k^2).
     """
+    import numpy as np
+
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if k < 1:

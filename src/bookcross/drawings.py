@@ -18,6 +18,10 @@ array as a mapping from edges to pages.
 and the scalar ``edges_cross`` stays as the independent reference for it and
 for the prefix-XOR build of ``coloring.conflict_graph``.  Closed-form crossing
 totals live in ``bounds``.  Every count is an exact Python integer.
+
+Importing this module does not import numpy: the functions that build or
+read a page array import it on first use, so the layout-only paths
+(enumeration, bounds, a proven ``verify_positive_crossing``) never load it.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator
+from numbers import Integral
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Vertex = tuple[str, int]
 Edge = tuple[int, int]  # (black index, white index)
@@ -101,6 +107,8 @@ class CircularLayout:
     def chords(self) -> tuple[np.ndarray, np.ndarray]:
         """The (lo, hi) spine positions of every edge's chord, lo < hi, as
         int64 arrays holding edge (i, j) at index i*n + j."""
+        import numpy as np
+
         bpos = np.asarray(self.black_positions, dtype=np.int64)
         wpos = np.asarray(self.white_positions, dtype=np.int64)
         return np.minimum.outer(bpos, wpos).ravel(), np.maximum.outer(bpos, wpos).ravel()
@@ -147,6 +155,8 @@ class PageMap(Mapping):
 
 def _page_array(pages: Mapping[Edge, int] | np.ndarray, m: int, n: int) -> np.ndarray:
     """An int64 copy of ``pages`` shaped m x n, with every edge placed once."""
+    import numpy as np
+
     if not isinstance(pages, Mapping):
         given = np.asarray(pages)
         if given.shape != (m, n):
@@ -185,12 +195,12 @@ class BookDrawing:
     def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
         if k < 1:
             raise ValueError("page count k must be >= 1")
-        if k > np.iinfo(np.int64).max:
+        if k > 2**63 - 1:
             raise ValueError(f"page count k={k} out of range: beyond 64-bit integers")
         array = _page_array(pages, layout.m, layout.n)
         outside = (array < 0) | (array >= k)
         if outside.any():
-            raise ValueError(f"page {int(array.flat[np.argmax(outside)])} out of range for k={k}")
+            raise ValueError(f"page {int(array.flat[outside.argmax()])} out of range for k={k}")
         array.flags.writeable = False
         self.layout = layout
         self.k = k
@@ -214,7 +224,8 @@ class BookDrawing:
         return (
             self.layout == other.layout
             and self.k == other.k
-            and np.array_equal(self.page_array, other.page_array)
+            and self.page_array.shape == other.page_array.shape
+            and bool((self.page_array == other.page_array).all())
         )
 
     def __reduce__(self):
@@ -271,6 +282,8 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     chords that share its left end among those ending at or after hi.  The
     strict bounds keep chords that share an endpoint apart.
     """
+    import numpy as np
+
     lo, hi = d.layout.chords()
     page = d.page_array.ravel()
     order = np.lexsort((-hi, lo, page))
@@ -294,6 +307,10 @@ def page_loads(d: BookDrawing, w: int) -> list[int]:
 
     Entries sum to m, the degree of a white vertex.
     """
+    import numpy as np
+
+    if isinstance(w, bool) or not isinstance(w, Integral):
+        raise ValueError(f"white vertex must be an integer, got {w!r}")
     if not (0 <= w < d.n):
         raise ValueError(f"white vertex {w} out of range for n={d.n}")
     return np.bincount(d.page_array[:, w], minlength=d.k).tolist()
@@ -303,6 +320,8 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
     """True iff d is a crossing-free k-page embedding of K_{k+1,s} in which
     every white vertex has load 1 on k-1 pages and load 2 on the remaining one.
     """
+    import numpy as np
+
     if d.m != d.k + 1:
         raise ValueError(f"balanced embeddings have m = k+1 black vertices, got m={d.m}, k={d.k}")
     if count_crossings(d).total != 0:
@@ -375,6 +394,11 @@ def from_json(text: str) -> BookDrawing:
 
 def permute_pages(d: BookDrawing, perm: list[int]) -> BookDrawing:
     """Drawing with page indices relabeled by ``perm`` (a permutation of 0..k-1)."""
+    import numpy as np
+
+    # sorted() alone would take True for 1 and 1.0 for 1
+    if any(isinstance(p, bool) or not isinstance(p, Integral) for p in perm):
+        raise ValueError(f"perm entries must be integers, got {perm!r}")
     if sorted(perm) != list(range(d.k)):
         raise ValueError("perm must be a permutation of 0..k-1")
     return BookDrawing(d.layout, d.k, np.asarray(perm)[d.page_array])

@@ -10,6 +10,8 @@ from bookcross.cli import _build_parser, main
 from bookcross.drawings import count_crossings, from_json
 from bookcross.enumeration import canonical_form
 
+from conftest import pairwise_crossing_total
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -17,16 +19,45 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def cli_process(*argv, stdout=subprocess.PIPE):
-    """``python -m bookcross.cli ARGV`` in a child that imports bookcross from
-    ``src/``, with stderr (and by default stdout) as a text pipe."""
+def _src_env() -> dict:
+    """This environment with ``src/`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def cli_process(*argv, stdout=subprocess.PIPE):
+    """``python -m bookcross.cli ARGV`` in a child that imports bookcross from
+    ``src/``, with stderr (and by default stdout) as a text pipe."""
     return subprocess.Popen(
         [sys.executable, "-m", "bookcross.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+        stdout=stdout, stderr=subprocess.PIPE, env=_src_env(), text=True,
     )
+
+
+# Imports bookcross and bookcross.cli, runs main(ARGV) when ARGV is given,
+# and writes to stderr whether numpy was loaded after the imports and after
+# the run; exits with main's code.
+_NUMPY_PROBE = """
+import json, sys
+import bookcross, bookcross.cli
+loaded = ["numpy" in sys.modules]
+code = bookcross.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def numpy_probe(*argv) -> tuple[int, str, list[bool]]:
+    """Run ``_NUMPY_PROBE`` in a fresh interpreter (the test process has numpy
+    loaded already): its exit code, its stdout and the two numpy flags."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True, env=_src_env(), text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
 
 
 def _log_record(m, n, k, canonical='"000001111"', nodes="0", millis="0.1"):
@@ -80,6 +111,40 @@ class TestEnumerate:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert err == ""
+
+
+class TestLazyNumpy:
+    """numpy is imported where a page array is first built, so the commands
+    that only read layouts, closed forms and colorings never load it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("count-drawings", "5", "7"),
+            ("enumerate", "4", "5"),
+            ("bounds", "4", "13"),
+            ("bounds", "4", "30", "--scan"),
+            ("verify-pagenumber", "4", "5", "3", "--jobs", "1"),
+            ("verify-pagenumber", "4", "5", "3", "--jobs", "2"),
+        ],
+        ids=["import", "count-drawings", "enumerate", "bounds", "bounds-scan", "proven-jobs1", "proven-jobs2"],
+    )
+    def test_never_loaded(self, argv):
+        code, out, loaded = numpy_probe(*argv)
+        assert code == 0
+        assert loaded == [False, False]
+        if argv[:1] == ("verify-pagenumber",):
+            assert out.splitlines()[-1].startswith("proven")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_refuted_witness_loads_it_mid_run(self, jobs):
+        code, out, loaded = numpy_probe("verify-pagenumber", "4", "4", "3", "--jobs", jobs)
+        assert code == 1
+        assert loaded == [False, True]
+        d = from_json(out.splitlines()[-1])
+        assert count_crossings(d).total == 0
+        assert pairwise_crossing_total(d) == 0
 
 
 class TestConstructAndCrossings:

@@ -167,6 +167,38 @@ class TestPageLoads:
         with pytest.raises(ValueError):
             page_loads(d, 2)
 
+    @pytest.mark.parametrize("w", [True, False, 1.0, "1", None, np.bool_(True)])
+    def test_non_integer_white(self, w):
+        # True and 1.0 pass the range check; numpy then fails on them
+        d = block_cyclic(3, 4, 2)
+        with pytest.raises(ValueError, match="white vertex must be an integer"):
+            page_loads(d, w)
+
+    def test_numpy_integer_white(self):
+        d = block_cyclic(3, 4, 2)
+        assert page_loads(d, np.int64(1)) == page_loads(d, 1)
+
+
+class TestPermutePages:
+    @pytest.mark.parametrize("perm", [[True, False], [1.0, 0.0], [1, 0.0], ["1", "0"], [np.bool_(True), 0]])
+    def test_non_integer_entries(self, perm):
+        # sorted(perm) == [0, 1] holds for the first three
+        d = block_cyclic(3, 4, 2)
+        with pytest.raises(ValueError, match="perm entries must be integers"):
+            permute_pages(d, perm)
+
+    @pytest.mark.parametrize("perm", [[0, 0], [1, 2], [0], [0, 1, 2]])
+    def test_not_a_permutation(self, perm):
+        d = block_cyclic(3, 4, 2)
+        with pytest.raises(ValueError, match="perm must be a permutation"):
+            permute_pages(d, perm)
+
+    def test_relabels_pages(self):
+        d = block_cyclic(3, 4, 2)
+        for perm in ([1, 0], [np.int64(1), np.int64(0)], np.array([1, 0])):
+            assert permute_pages(d, perm).page_array.tolist() == (1 - d.page_array).tolist()
+        assert permute_pages(d, [0, 1]) == d
+
 
 class TestIsBalanced:
     def test_balanced_five_and_six(self):
