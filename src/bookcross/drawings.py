@@ -14,10 +14,10 @@ A ``BookDrawing`` keeps its pages as an m x n integer array, entry [i, j]
 holding the page of the edge joining black i to white j; ``pages`` reads that
 array as a mapping from edges to pages.
 
-``count_crossings`` counts each page with one sorted sweep over its chords,
-and the scalar ``edges_cross`` stays as the independent reference for it and
-for the prefix-XOR build of ``coloring.conflict_graph``.  Closed-form crossing
-totals live in ``bounds``.  Every count is an exact Python integer.
+``count_crossings`` sweeps the chords with one bisect each, less the pairs
+that end before they start, which one numpy search finds; ``edges_cross``
+stays the independent reference for it and for the prefix-XOR conflict
+graphs.  Closed-form totals live in ``bounds``.  Counts are exact integers.
 
 Importing this module does not import numpy: the functions that build or
 read a page array import it on first use, so the layout-only paths
@@ -27,7 +27,7 @@ read a page array import it on first use, so the layout-only paths
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -245,8 +245,20 @@ class CrossingReport:
             raise ValueError("total must equal the sum of per-page counts")
 
 
+def _is_index(v: object) -> bool:
+    """True for an int or a numpy integer, False for a bool or a float.
+
+    A bool would pass a range check as 0 or 1.  A plain int (a bool's type is
+    not int) skips the slower ABC check, which the O(E^2) pairwise reference
+    would pay on every ``edges_cross`` call.
+    """
+    return type(v) is int or (not isinstance(v, bool) and isinstance(v, Integral))
+
+
 def _check_edge(layout: CircularLayout, e: Edge) -> None:
     i, j = e
+    if not (_is_index(i) and _is_index(j)):
+        raise ValueError(f"edge vertex indices must be integers, got {e!r}")
     if not (0 <= i < layout.m and 0 <= j < layout.n):
         raise ValueError(f"edge ({i},{j}) out of range for K_{{{layout.m},{layout.n}}}")
 
@@ -281,24 +293,47 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     (lo, hi): they all start at or before lo, and the -hi tie order puts the
     chords that share its left end among those ending at or after hi.  The
     strict bounds keep chords that share an endpoint apart.
+
+    So each chord takes one bisect, the earlier chords that end below hi,
+    and each page subtracts the earlier chords that end at or before lo.
+    That term does not depend on the sweep: a chord of the page that ends at
+    or before lo also starts before lo, so it always comes earlier.  Summed
+    over a page, it counts the pairs in which one chord ends at or before
+    the other starts: one search of each right end among the page's sorted
+    left ends, in memory linear in the chord count.
     """
     import numpy as np
 
     lo, hi = d.layout.chords()
     page = d.page_array.ravel()
-    order = np.lexsort((-hi, lo, page))
-    los = lo[order].tolist()
-    his = hi[order].tolist()
-    per_page = []
+    spine = d.m + d.n
+    counts = np.bincount(page, minlength=d.k)
+    occupied = np.flatnonzero(counts)
+    sizes = counts[occupied]
+    firsts = sizes.cumsum() - sizes
+    # ends keyed by the chord's rank among the occupied pages, so the sort
+    # key stays below E * spine**2 whatever k is; no two chords share both
+    # ends, so the key is unique and any sort kind gives the same order
+    base = np.searchsorted(occupied, page) * spine
+    order = ((base + lo) * spine + (spine - 1 - hi)).argsort(kind="stable")
+    base, lo, hi = base[order], lo[order], hi[order]
+    # in sweep order the keyed left ends are sorted, so one search per chord
+    # counts the chords of earlier pages, and of its own page, that start
+    # before it ends; the rest of its page start at or after its right end
+    started = np.add.reduceat(np.searchsorted(base + lo, base + hi), firsts)
+    before = (sizes * (firsts + sizes) - started).tolist()
+    his = hi.tolist()
+    per_page = [0] * d.k
     start = 0
-    for size in np.bincount(page, minlength=d.k).tolist():
+    for p, count, term in zip(occupied.tolist(), sizes.tolist(), before):
         ends: list[int] = []
-        crossings = 0
-        for a, b in zip(los[start:start + size], his[start:start + size]):
-            crossings += bisect_left(ends, b) - bisect_right(ends, a)
-            insort(ends, b)
-        per_page.append(crossings)
-        start += size
+        crossings = -term
+        for b in his[start:start + count]:
+            i = bisect_left(ends, b)
+            crossings += i
+            ends.insert(i, b)
+        per_page[p] = crossings
+        start += count
     return CrossingReport(sum(per_page), tuple(per_page))
 
 
@@ -309,7 +344,7 @@ def page_loads(d: BookDrawing, w: int) -> list[int]:
     """
     import numpy as np
 
-    if isinstance(w, bool) or not isinstance(w, Integral):
+    if not _is_index(w):
         raise ValueError(f"white vertex must be an integer, got {w!r}")
     if not (0 <= w < d.n):
         raise ValueError(f"white vertex {w} out of range for n={d.n}")
@@ -397,7 +432,7 @@ def permute_pages(d: BookDrawing, perm: list[int]) -> BookDrawing:
     import numpy as np
 
     # sorted() alone would take True for 1 and 1.0 for 1
-    if any(isinstance(p, bool) or not isinstance(p, Integral) for p in perm):
+    if not all(_is_index(p) for p in perm):
         raise ValueError(f"perm entries must be integers, got {perm!r}")
     if sorted(perm) != list(range(d.k)):
         raise ValueError("perm must be a permutation of 0..k-1")

@@ -1,7 +1,9 @@
 import math
 import pickle
 import random
+import tracemalloc
 from collections.abc import Mapping
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from bookcross.constructions import balanced_embedding, block_cyclic, blowup, ri
 from bookcross.drawings import (
     BookDrawing,
     CircularLayout,
+    CrossingReport,
     DrawingFormatError,
     count_crossings,
     edges_cross,
@@ -20,7 +23,12 @@ from bookcross.drawings import (
     to_json,
 )
 
-from conftest import pairwise_crossing_total, random_drawing, random_layout
+from conftest import (
+    pairwise_crossing_per_page,
+    random_drawing,
+    random_layout,
+    reference_count_crossings,
+)
 
 
 def layout_of(*tokens):
@@ -55,6 +63,22 @@ class TestEdgesCross:
             e2 = (rng.randrange(m), rng.randrange(n))
             assert edges_cross(lay, e1, e2) == edges_cross(lay, e2, e1)
 
+    @pytest.mark.parametrize("edge", [(True, 0), (0, False), (1.0, 0), (0, 1.0), ("1", 0), (np.bool_(True), 0)])
+    def test_non_integer_vertex(self, edge):
+        # (True, 0) used to answer as (1, 0), and (1.0, 0) to fail as a list index
+        lay = block_cyclic(3, 4, 2).layout
+        with pytest.raises(ValueError, match="edge vertex indices must be integers"):
+            edges_cross(lay, edge, (0, 1))
+        with pytest.raises(ValueError, match="edge vertex indices must be integers"):
+            edges_cross(lay, (0, 1), edge)
+
+    def test_numpy_integer_vertex(self):
+        lay = block_cyclic(3, 4, 2).layout
+        for e1 in product(range(3), range(4)):
+            for e2 in product(range(3), range(4)):
+                as_numpy = (np.int64(e1[0]), np.int32(e1[1]))
+                assert edges_cross(lay, as_numpy, e2) == edges_cross(lay, e1, e2)
+
 
 class TestCountCrossings:
     def test_block_cyclic_k45(self):
@@ -78,7 +102,7 @@ class TestCountCrossings:
         rng = random.Random(11)
         for _ in range(25):
             d = random_drawing(rng, rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 3))
-            assert count_crossings(d).total == pairwise_crossing_total(d)
+            assert count_crossings(d).per_page == pairwise_crossing_per_page(d)
 
     def test_invariant_under_rotation_and_reflection(self):
         rng = random.Random(13)
@@ -113,7 +137,7 @@ class TestCountCrossings:
             best = min(best, total)
         assert 0 <= best <= c1
 
-    def test_chunked_counting_path(self):
+    def test_one_page_block_cyclic_matches_closed_form(self):
         # E = 2500 on one page; the closed form is the oracle
         d = block_cyclic(50, 50, 1)
         assert count_crossings(d).total == math.comb(50, 2) ** 2
@@ -130,7 +154,63 @@ class TestCountCrossings:
             m, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
             pages = np.array([[rng.randrange(k) for _ in range(n)] for _ in range(m)])
             d = BookDrawing(random_layout(rng, m, n), k, pages)
-            assert count_crossings(d).total == pairwise_crossing_total(d)
+            assert count_crossings(d).per_page == pairwise_crossing_per_page(d)
+
+    def test_per_page_matches_reference_on_random_drawings(self):
+        rng = random.Random(37)
+        for _ in range(400):
+            m, n, k = rng.randint(0, 20), rng.randint(0, 20), rng.randint(1, 9)
+            used = rng.sample(range(k), rng.randint(1, k))  # the other pages stay empty
+            pages = np.array([[rng.choice(used) for _ in range(n)] for _ in range(m)], dtype=np.int64)
+            d = BookDrawing(random_layout(rng, m, n), k, pages.reshape(m, n))
+            assert count_crossings(d) == reference_count_crossings(d), to_json(d)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 23, 31, 40, 48, 57, 64])
+    def test_per_page_matches_reference_on_balanced_embeddings(self, k):
+        d = balanced_embedding(k)
+        assert count_crossings(d) == reference_count_crossings(d) == CrossingReport(0, (0,) * k)
+
+    def test_per_page_matches_reference_on_blowups(self):
+        for k in range(2, 7):
+            base = balanced_embedding(k)
+            for n in (base.n, base.n + 1, 2 * base.n + 3, 101, 500):
+                d = blowup(base, n)
+                assert count_crossings(d) == reference_count_crossings(d), (k, n)
+
+    def test_per_page_matches_reference_on_block_cyclic_grid(self):
+        for m in range(1, 41, 3):
+            for n in range(1, 41, 4):
+                for k in range(1, 9):
+                    d = block_cyclic(m, n, k)
+                    assert count_crossings(d) == reference_count_crossings(d), (m, n, k)
+
+    @staticmethod
+    def traced_count(d):
+        tracemalloc.start()
+        try:
+            report = count_crossings(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return report, peak
+
+    def test_huge_page_count_memory(self):
+        # memory follows the chords, not k: a k x (m+n) table would trace
+        # about 31 MB here
+        lay = layout_of(("b", 0), *(("w", j) for j in range(200)))
+        d = BookDrawing(lay, 10**4, np.zeros((1, 200), dtype=np.int64))
+        report, peak = self.traced_count(d)
+        assert report == CrossingReport(0, (0,) * 10**4)
+        assert peak < 8 * 2**20
+
+    def test_one_edge_per_page_memory(self):
+        # memory follows the chords, not pages times spine: a table with a
+        # row per occupied page would trace about 16 MB here
+        lay = layout_of(("b", 0), *(("w", j) for j in range(1000)))
+        d = BookDrawing(lay, 1000, np.arange(1000, dtype=np.int64).reshape(1, 1000))
+        report, peak = self.traced_count(d)
+        assert report == CrossingReport(0, (0,) * 1000)
+        assert peak < 2 * 2**20
 
     def test_total_bounded_by_edge_pairs(self):
         rng = random.Random(23)
