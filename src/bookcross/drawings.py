@@ -193,6 +193,11 @@ class BookDrawing:
     __slots__ = ("layout", "k", "page_array")
 
     def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
+        # not in CircularLayout: the verifier builds one per layout, never written out
+        if not all(_is_index(v) for v in (layout.m, layout.n, *(i for _, i in layout.seq))):
+            raise ValueError(f"layout m, n and vertex labels must be integers, got {layout!r}")
+        if not _is_index(k):
+            raise ValueError(f"page count k must be an integer, got {k!r}")
         if k < 1:
             raise ValueError("page count k must be >= 1")
         if k > 2**63 - 1:
@@ -267,21 +272,18 @@ def edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
     """Chord-interleaving predicate for two edges of K_{m,n}.
 
     True iff the four endpoints are distinct and exactly one endpoint of e2
-    lies strictly inside one of the two arcs cut by e1.  Edges sharing an
-    endpoint never cross (chords leaving a common spine point can always be
-    drawn disjointly).
+    lies strictly inside the spine interval (a, b) between e1's endpoints.
+    Edges sharing an endpoint never cross (chords leaving a common spine
+    point can always be drawn disjointly).
     """
     _check_edge(layout, e1)
     _check_edge(layout, e2)
     if e1[0] == e2[0] or e1[1] == e2[1]:
         return False
-    nverts = layout.m + layout.n
-    a = layout.black_positions[e1[0]]
-    b = layout.white_positions[e1[1]]
+    a, b = sorted((layout.black_positions[e1[0]], layout.white_positions[e1[1]]))
     c = layout.black_positions[e2[0]]
     d = layout.white_positions[e2[1]]
-    span = (b - a) % nverts
-    return (((c - a) % nverts < span) != ((d - a) % nverts < span))
+    return (a < c < b) != (a < d < b)
 
 
 def count_crossings(d: BookDrawing) -> CrossingReport:
@@ -381,9 +383,9 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
 
 def to_json(d: BookDrawing) -> str:
     doc = {
-        "m": d.m,
-        "n": d.n,
-        "k": d.k,
+        "m": int(d.m),  # a numpy integer is not JSON serializable
+        "n": int(d.n),
+        "k": int(d.k),
         "order": [vertex_name(v) for v in d.layout.seq],
         "edges": [[i, j, p] for i, row in enumerate(d.page_array.tolist()) for j, p in enumerate(row)],
     }

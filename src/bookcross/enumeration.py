@@ -14,8 +14,8 @@ test compares only the rotations of the reversal that start with the
 necklace's longest run of zeros and the '1' after it, since no other rotation
 can be smaller.  The work and memory grow with the number of classes, not
 with 2**(m+n), and no word length is capped.  ``canonical_form`` (brute force
-per string) and ``count_formula`` (Burnside's lemma) stay as independent
-references.
+per string) and ``count_formula`` (Burnside's lemma, one fixed-point count per
+kind of group element) stay as independent references.
 """
 
 from __future__ import annotations
@@ -139,35 +139,33 @@ def enumerate_layouts(m: int, n: int) -> Iterator[CircularLayout]:
 
 
 def count_formula(m: int, n: int) -> int:
-    """Closed-form number of distinct circular drawings of K_{m,n}.
+    """Number of distinct circular drawings of K_{m,n}, by Burnside's lemma:
+    the mean, over the 2L elements of D_L (L = m + n), of the black/white
+    orderings each one fixes, those with every cycle of it in one colour.
 
-    Orbit count of D_{m+n} acting on the C(m+n, m) two-colored cyclic
-    orderings: the reflection term depends on the parities of m and n, the
-    rotation term sums over the subgroup orders o(t) = d / gcd(t, d) with
-    d = gcd(m, n).  The (m even, n odd) case is evaluated with the arguments
-    swapped; the count is symmetric.
+    The rotation by t, 0 <= t < L, has g = gcd(t, L) cycles of length L/g:
+    it fixes C(g, m*g/L) orderings if L/g divides m, and none otherwise.  A
+    reflection with f fixed positions and (L - f)/2 swapped pairs fixes the
+    sum of C(f, b) * C((L - f)/2, (m - b)/2) over b <= min(f, m), m - b
+    even, b being the blacks it fixes.  For odd L all L reflections have
+    f = 1; for even L half have f = 2 and half f = 0.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if m % 2 == 0 and n % 2 == 1:
-        return count_formula(n, m)
-    total = m + n
-    d = gcd(m, n)
+    size = m + n
     rotations = 0
-    for t in range(d):
-        o = d // gcd(t, d)
-        rotations += comb(total // o, m // o)
-    if m % 2 == 0 and n % 2 == 0:
-        reflections = (total // 2) * (
-            comb(total // 2, n // 2)
-            + comb((total - 2) // 2, m // 2)
-            + comb((total - 2) // 2, n // 2)
-        )
-    elif m % 2 == 1 and n % 2 == 0:
-        reflections = total * comb((total - 1) // 2, n // 2)
-    else:  # both odd
-        reflections = total * comb((total - 2) // 2, (m - 1) // 2)
-    value, rem = divmod(reflections + rotations, 2 * total)
+    for t in range(size):
+        g = gcd(t, size)
+        if m % (size // g) == 0:
+            rotations += comb(g, m * g // size)
+    # (how many reflections, the f positions each of them fixes)
+    kinds = [(size, 1)] if size % 2 else [(size // 2, 2), (size // 2, 0)]
+    reflections = sum(
+        count * comb(f, b) * comb((size - f) // 2, (m - b) // 2)
+        for count, f in kinds
+        for b in range(m % 2, min(f, m) + 1, 2)
+    )
+    value, rem = divmod(rotations + reflections, 2 * size)
     if rem:
         raise ArithmeticError(f"orbit count for ({m},{n}) is not integral; formula bug")
     return value

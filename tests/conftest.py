@@ -3,6 +3,7 @@
 import random
 import time
 from bisect import bisect_left, bisect_right, insort
+from math import comb, gcd
 from typing import Iterator
 
 import numpy as np
@@ -19,7 +20,7 @@ from bookcross.coloring import (
     conflict_graph,
     find_clique,
 )
-from bookcross.drawings import BookDrawing, CircularLayout, CrossingReport, edges_cross
+from bookcross.drawings import BookDrawing, CircularLayout, CrossingReport, Edge, _check_edge, edges_cross
 from bookcross.enumeration import NecklaceClass
 from bookcross.oracle import OracleLimitError
 
@@ -160,6 +161,30 @@ def reference_count_crossings(d: BookDrawing) -> CrossingReport:
     return CrossingReport(sum(per_page), tuple(per_page))
 
 
+# The crossing predicate as it was before the interval test, kept as the
+# reference: it compares the arc lengths from e1's black end modulo m+n.
+# ``edges_cross`` must give the same answer on every pair of edges.
+def reference_edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
+    """Chord-interleaving predicate for two edges of K_{m,n}.
+
+    True iff the four endpoints are distinct and exactly one endpoint of e2
+    lies strictly inside one of the two arcs cut by e1.  Edges sharing an
+    endpoint never cross (chords leaving a common spine point can always be
+    drawn disjointly).
+    """
+    _check_edge(layout, e1)
+    _check_edge(layout, e2)
+    if e1[0] == e2[0] or e1[1] == e2[1]:
+        return False
+    nverts = layout.m + layout.n
+    a = layout.black_positions[e1[0]]
+    b = layout.white_positions[e1[1]]
+    c = layout.black_positions[e2[0]]
+    d = layout.white_positions[e2[1]]
+    span = (b - a) % nverts
+    return (((c - a) % nverts < span) != ((d - a) % nverts < span))
+
+
 # The DSATUR search as it was before it kept saturation levels, kept as the
 # reference: every node rebuilds the saturation masks from the per-color
 # forbid masks, and a child in which a vertex sees all k colors is entered
@@ -276,6 +301,45 @@ def reference_bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
                 stack.append((t, "1", t + 1, ones + 1))
                 if t - ones < n:
                     stack.append((t, "0", p, ones))
+
+
+# The orbit count as it was before it read Burnside's lemma term by term,
+# kept as the reference: three parity cases for the reflections, and the
+# (m even, n odd) case evaluated with the arguments swapped (the recursive
+# call names this function).  ``count_formula`` must return the same count.
+def reference_count_formula(m: int, n: int) -> int:
+    """Closed-form number of distinct circular drawings of K_{m,n}.
+
+    Orbit count of D_{m+n} acting on the C(m+n, m) two-colored cyclic
+    orderings: the reflection term depends on the parities of m and n, the
+    rotation term sums over the subgroup orders o(t) = d / gcd(t, d) with
+    d = gcd(m, n).  The (m even, n odd) case is evaluated with the arguments
+    swapped; the count is symmetric.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    if m % 2 == 0 and n % 2 == 1:
+        return reference_count_formula(n, m)
+    total = m + n
+    d = gcd(m, n)
+    rotations = 0
+    for t in range(d):
+        o = d // gcd(t, d)
+        rotations += comb(total // o, m // o)
+    if m % 2 == 0 and n % 2 == 0:
+        reflections = (total // 2) * (
+            comb(total // 2, n // 2)
+            + comb((total - 2) // 2, m // 2)
+            + comb((total - 2) // 2, n // 2)
+        )
+    elif m % 2 == 1 and n % 2 == 0:
+        reflections = total * comb((total - 1) // 2, n // 2)
+    else:  # both odd
+        reflections = total * comb((total - 2) // 2, (m - 1) // 2)
+    value, rem = divmod(reflections + rotations, 2 * total)
+    if rem:
+        raise ArithmeticError(f"orbit count for ({m},{n}) is not integral; formula bug")
+    return value
 
 
 # The oracle's page-assignment walk as it was before the look-ahead bound,

@@ -252,6 +252,18 @@ class TestVerifyPagenumber:
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("proven")
 
+    def test_log_blank_lines_skipped(self, capsys, tmp_path):
+        log = tmp_path / "run.jsonl"
+        code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
+        assert code == 0
+        records = log.read_text().splitlines()
+        assert len(records) == 10
+        log.write_text("\n \n".join(records) + "\n\n\t\n")
+        code, out, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("proven")
+        assert log.read_text().splitlines() == records
+
     def test_log_for_other_k_rejected(self, capsys, tmp_path):
         log = tmp_path / "run.jsonl"
         code, _, _ = run(capsys, "verify-pagenumber", "4", "5", "3", "--jobs", "1", "--log", str(log))
@@ -547,10 +559,14 @@ class TestErrors:
             '{"m": 1, "n": 2, "k": 1, "order": ["b0", "w0", "w\u0661"], "edges": [[0, 0, 0], [0, 1, 0]]}',
             '{"m": 1%s, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [[0, 0, 0]]}' % ("0" * 5000),
             "[" * 100_000,
+            '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w0"]}',
+            '{"m": 1, "n": 1, "k": 1, "order": "b0 w0", "edges": [[0, 0, 0]]}',
+            '{"m": 1, "n": 1, "k": 1, "order": ["b0", "w0"], "edges": [[0, 0]]}',
         ],
         ids=[
             "zero_pages", "string_index", "null_index", "numeric_token", "float_index", "superscript_digit",
-            "arabic_indic_digit", "over_long_integer", "over_deep_nesting",
+            "arabic_indic_digit", "over_long_integer", "over_deep_nesting", "missing_field", "order_not_array",
+            "edge_not_triple",
         ],
     )
     def test_malformed_drawing_exit_65(self, capsys, tmp_path, doc):

@@ -22,12 +22,14 @@ from bookcross.drawings import (
     permute_pages,
     to_json,
 )
+from bookcross.enumeration import layout_from_string
 
 from conftest import (
     pairwise_crossing_per_page,
     random_drawing,
     random_layout,
     reference_count_crossings,
+    reference_edges_cross,
 )
 
 
@@ -78,6 +80,19 @@ class TestEdgesCross:
             for e2 in product(range(3), range(4)):
                 as_numpy = (np.int64(e1[0]), np.int32(e1[1]))
                 assert edges_cross(lay, as_numpy, e2) == edges_cross(lay, e1, e2)
+
+    def test_matches_reference_on_all_small_layouts(self):
+        # every 0/1 word up to length 9 with both colours, rotated by one and
+        # reflected as well, so the labels do not always run clockwise from 0
+        for total in range(2, 10):
+            for word in map("".join, product("01", repeat=total)):
+                if "0" not in word or "1" not in word:
+                    continue
+                base = layout_from_string(word)
+                edges = list(product(range(base.m), range(base.n)))
+                for lay in (base, base.rotated(1), base.reflected()):
+                    for e1, e2 in product(edges, edges):
+                        assert edges_cross(lay, e1, e2) == reference_edges_cross(lay, e1, e2), (lay, e1, e2)
 
 
 class TestCountCrossings:
@@ -421,6 +436,34 @@ class TestJson:
         again = from_json(to_json(d))
         assert again == d
         assert count_crossings(again) == count_crossings(d)
+
+    @pytest.mark.parametrize(
+        "seq,m",
+        [((("b", False), ("w", 0)), 1), ((("b", 0), ("w", 0.0)), 1), ((("b", 0), ("w", 0)), True)],
+        ids=["bool_label", "float_label", "bool_m"],
+    )
+    def test_non_integer_layout_rejected(self, seq, m):
+        # each used to build, and to_json wrote "bFalse", "w0.0" or "m": true,
+        # which from_json rejects
+        with pytest.raises(ValueError, match="must be integers"):
+            BookDrawing(CircularLayout(seq, m, 1), 1, {(0, 0): 0})
+
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5])
+    def test_non_integer_page_count_rejected(self, k):
+        # each used to build, and to_json wrote a k that from_json rejects
+        with pytest.raises(ValueError, match="page count k must be an integer"):
+            BookDrawing(layout_from_string("1100"), k, np.zeros((2, 2), dtype=int))
+
+    def test_numpy_integers_round_trip(self):
+        plain = BookDrawing(layout_from_string("1100"), 2, np.zeros((2, 2), dtype=int))
+        drawings = [
+            BookDrawing(plain.layout, np.int64(2), plain.page_array),
+            BookDrawing(CircularLayout(plain.layout.seq, np.int64(2), np.int32(2)), 2, plain.page_array),
+            BookDrawing(CircularLayout.of((c, np.int64(i)) for c, i in plain.layout.seq), 2, plain.page_array),
+        ]
+        for d in drawings:
+            assert to_json(d) == to_json(plain)
+            assert from_json(to_json(d)) == d
 
     def test_rejects_duplicate_edge(self):
         d = block_cyclic(2, 2, 1)

@@ -15,7 +15,7 @@ from bookcross.enumeration import (
     necklace_classes,
 )
 
-from conftest import reference_bracelets
+from conftest import reference_bracelets, reference_count_formula
 
 
 class TestCanonicalForm:
@@ -47,6 +47,11 @@ class TestCountFormula:
     )
     def test_known_counts(self, m, n, expected):
         assert count_formula(m, n) == expected
+
+    def test_matches_reference_formula(self):
+        for m in range(1, 101):
+            for n in range(1, 101):
+                assert count_formula(m, n) == reference_count_formula(m, n), (m, n)
 
     def test_symmetric(self):
         for m in range(1, 8):
@@ -104,6 +109,7 @@ class TestEnumerateLayouts:
                 )
                 classes = [(c.canonical, c.orbit_size) for c in necklace_classes(m, total - m)]
                 assert classes == sorted(orbits.items()), (m, total - m)
+                assert count_formula(m, total - m) == len(orbits), (m, total - m)
 
     def test_matches_reference_generator(self):
         shapes = [(m, total - m) for total in range(15, 19) for m in range(1, total)]
