@@ -28,10 +28,10 @@ The sweep reads only the layout's 0/1 word.  The chords that pairwise cross
 across a spine cut are a common subsequence of the word left of the cut and
 the colour-flipped word right of it, so each cut's clique size is one
 bit-parallel LCS on Python ints (Allison and Dix, IPL 23, 1986; Hyyro,
-2004).  The clique's vertices come from one patience sort at the first cut
-of largest size, which returns the same clique, in the same order, as a
-sort at every cut; DSATUR pre-colors that clique, so node counts do not
-depend on how it was found.
+2004).  That size decides first: a layout whose clique exceeds k is not
+colorable, with no clique built.  Only for the others do the clique's
+vertices come from one patience sort at the first cut of largest size, the
+clique a sort at every cut returns; DSATUR pre-colors it.
 """
 
 from __future__ import annotations
@@ -151,30 +151,22 @@ def _lcs_length(short: str, match: Mapping[str, int], width: int) -> int:
     return width - (v & full).bit_count()
 
 
-def _crossing_chain(layout: CircularLayout) -> list[int]:
-    """A largest set of pairwise-crossing chords (lo, hi): ordered by lo, both
-    ends rise strictly and all straddle one spine cut p (lo <= p < hi), so per
-    cut it is a longest strictly increasing run of hi over the chords in
-    (lo, -hi) order, the tie-break keeping chords with a shared left end
-    apart.  The first cut that reaches the maximum gives the run.
+def _clique_sweep(layout: CircularLayout) -> tuple[int, int]:
+    """The size of a largest set of pairwise-crossing chords, and the first
+    spine cut p that such a set straddles (lo <= p < hi), or -1 if no chord.
 
-    A run's length at cut p needs no chords: t pairwise-crossing chords that
-    straddle p are exactly a common subsequence of length t of the left word
-    w[0..p] and the colour-flipped right word flip(w[p+1..]) (left ends in
-    order against right ends in order, each chord joining a black to a
-    white).  So each cut costs one bit-parallel LCS, with the longer side as
-    the bit vector.  The run itself, back-pointers and all, is built once, at
-    the winning cut, by the same patience sort over the chords that straddle
-    it in (lo, -hi) order, so it is the run a sort at every cut would return.
+    t pairwise-crossing chords that straddle p are exactly a common
+    subsequence of length t of the left word w[0..p] and the colour-flipped
+    right word flip(w[p+1..]) (left ends in order against right ends in
+    order, each chord joining a black to a white).  So each cut costs one
+    bit-parallel LCS, with the longer side as the bit vector.
 
-    A run has distinct left ends in 0..p and distinct right ends above p, and
-    each chord joins a black to a white.  With bl blacks and wl whites in
-    0..p, a run is thus at most min(bl, n - wl) + min(wl, m - bl) long, and a
-    cut whose bound is at most the longest run so far is skipped: only a
-    strictly longer run moves the winning cut, so skipping it changes
-    nothing."""
-    m, n, seq = layout.m, layout.n, layout.seq
-    word = "".join(c for c, _ in seq)
+    Such a set has distinct left ends in 0..p and distinct right ends above
+    p.  With bl blacks and wl whites in 0..p, it is thus at most
+    min(bl, n - wl) + min(wl, m - bl) large, and a cut whose bound is at
+    most the best size so far is skipped: it cannot move the first cut."""
+    m, n = layout.m, layout.n
+    word = "".join([c for c, _ in layout.seq])
     size = len(word)
     black = int(word[::-1].replace("b", "1").replace("w", "0") or "0", 2)  # bit p: position p is black
     white = black ^ ((1 << size) - 1)
@@ -196,6 +188,24 @@ def _crossing_chain(layout: CircularLayout) -> list[int]:
             length = _lcs_length(word[left:], whole, left)
         if length > best:
             best, cut = length, p
+    return best, cut
+
+
+def _crossing_chain(layout: CircularLayout) -> list[int]:
+    """A largest set of pairwise-crossing chords (lo, hi): ordered by lo, both
+    ends rise strictly and all straddle one spine cut p (lo <= p < hi), so per
+    cut it is a longest strictly increasing run of hi over the chords in
+    (lo, -hi) order, the tie-break keeping chords with a shared left end
+    apart.  The first cut that reaches the maximum gives the run.
+
+    ``_clique_sweep`` finds that cut and the run's length; the run itself,
+    back-pointers and all, comes from one patience sort over the chords
+    that straddle it in (lo, -hi) order, so it is the run a sort at every
+    cut would return."""
+    best, cut = _clique_sweep(layout)
+    m, n, seq = layout.m, layout.n, layout.seq
+    word = "".join(c for c, _ in seq)
+    size = len(word)
     part = [i * n if c == "b" else i for c, i in seq]  # a chord's vertex i*n + j is the sum at its ends
     # per colour, (hi, part[hi]) over the other colour's positions above the cut, hi descending
     opposite: dict[str, list[tuple[int, int]]] = {"b": [], "w": []}
@@ -283,9 +293,11 @@ class _Budget(Exception):
 def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> ColoringResult:
     """Exhaustive DSATUR-ordered backtracking k-colorability decision.
 
-    One clique is pre-colored 0,1,2,... and remaining color classes are
-    introduced in first-use order; both reductions preserve completeness,
-    so NOT_COLORABLE genuinely means no proper k-coloring exists.  Each node
+    On a layout's graph the sweep's clique size decides first; the clique
+    itself is built only if that size is at most k.  One clique is
+    pre-colored 0,1,2,... and remaining color classes are introduced in
+    first-use order; both reductions preserve completeness, so
+    NOT_COLORABLE genuinely means no proper k-coloring exists.  Each node
     branches on an uncolored vertex seeing the most colors, then of highest
     degree, then of lowest index.  The search state is passed down by value
     as bitmasks, so nothing is undone: per color the vertices with a
@@ -303,6 +315,8 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     if nvert == 0:
         return ColoringResult(COLORABLE, (), 0, _ms(start))
 
+    if g.layout is not None and _clique_sweep(g.layout)[0] > k:
+        return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))  # no clique built
     clique = find_clique(g)
     if len(clique) > k:
         return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))

@@ -72,12 +72,18 @@ class CircularLayout:
     n: int
 
     def __post_init__(self):
+        blacks = [i for c, i in self.seq if c == "b"]
+        whites = [j for c, j in self.seq if c == "w"]
+        labels = (self.m, self.n, *blacks, *whites)
+        # one type test per distinct type; numpy integers take the per-label path
+        if not (set(map(type, labels)) <= {int} or all(map(_is_index, labels))):
+            raise ValueError(f"layout m, n and vertex labels must be integers, got {self!r}")
         if len(self.seq) != self.m + self.n:
             raise ValueError(
                 f"layout has {len(self.seq)} positions, expected m+n = {self.m + self.n}"
             )
-        blacks = sorted(i for c, i in self.seq if c == "b")
-        whites = sorted(j for c, j in self.seq if c == "w")
+        blacks.sort()
+        whites.sort()
         if blacks != list(range(self.m)) or whites != list(range(self.n)):
             raise ValueError("layout must contain each b0..b{m-1}, w0..w{n-1} exactly once")
 
@@ -193,9 +199,6 @@ class BookDrawing:
     __slots__ = ("layout", "k", "page_array")
 
     def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
-        # not in CircularLayout: the verifier builds one per layout, never written out
-        if not all(_is_index(v) for v in (layout.m, layout.n, *(i for _, i in layout.seq))):
-            raise ValueError(f"layout m, n and vertex labels must be integers, got {layout!r}")
         if not _is_index(k):
             raise ValueError(f"page count k must be an integer, got {k!r}")
         if k < 1:

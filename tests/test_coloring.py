@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from bookcross.coloring import (
     NOT_COLORABLE,
     ConflictGraph,
     LayoutLog,
+    _clique_sweep,
     _crossing_chain,
     _exact_max_clique,
     _lcs_length,
@@ -26,7 +28,7 @@ from bookcross.coloring import (
     verify_positive_crossing,
 )
 from bookcross.drawings import CircularLayout, count_crossings, edges_cross, to_json
-from bookcross.enumeration import enumerate_layouts, layout_from_string
+from bookcross.enumeration import count_formula, enumerate_layouts, layout_from_string
 
 from conftest import (
     random_layout,
@@ -359,6 +361,49 @@ class TestBitParallelSweep:
         assert all(short <= width for short, width in calls)
 
 
+class TestSweepFirst:
+    """``is_k_colorable`` settles a layout from the sweep's size alone and
+    builds the clique only for the layouts that the size leaves open."""
+
+    def test_size_and_cut_match_reference_up_to_twelve_positions(self):
+        checked = 0
+        for size in range(2, 13):
+            for m in range(1, size):
+                for lay in enumerate_layouts(m, size - m):
+                    lengths = reference_cut_lengths(lay)
+                    best, cut = _clique_sweep(lay)
+                    assert best == max(lengths) == len(reference_crossing_chain(lay))
+                    assert cut == lengths.index(best)  # the first cut of largest size
+                    checked += 1
+        assert checked == sum(count_formula(m, size - m) for size in range(2, 13) for m in range(1, size))
+
+    def test_size_above_k_settles_without_a_clique(self, monkeypatch, built):
+        def refuse(*args):
+            raise AssertionError("a clique was built for a layout that its size settles")
+
+        settled = [lay for lay in enumerate_layouts(7, 13) if _clique_sweep(lay)[0] > 6]
+        monkeypatch.setattr(coloring, "find_clique", refuse)
+        monkeypatch.setattr(coloring, "_crossing_chain", refuse)
+        for lay in settled:
+            assert outcome(is_k_colorable(conflict_graph(lay), 6)) == (NOT_COLORABLE, 0, None)
+        assert len(settled) == 1828
+        assert built == []
+
+    def test_open_layouts_search_from_the_reference_clique(self, monkeypatch):
+        found = []
+
+        def recording(g):
+            found.append(find_clique(g))
+            return found[-1]
+
+        monkeypatch.setattr(coloring, "find_clique", recording)
+        open_layouts = [lay for lay in enumerate_layouts(7, 13) if _clique_sweep(lay)[0] <= 6]
+        for lay in open_layouts:
+            assert is_k_colorable(conflict_graph(lay), 6).status == NOT_COLORABLE
+        assert found == [reference_crossing_chain(lay) for lay in open_layouts]
+        assert len(found) == 152
+
+
 class TestIsKColorable:
     def test_edgeless_one_color(self):
         res = is_k_colorable(graph_from_edges(20, []), 1)
@@ -651,11 +696,14 @@ class TestVerifyPipeline:
         assert res.unfinished
 
     def test_parallel_matches_serial(self):
-        serial = verify_positive_crossing(4, 5, 3, jobs=1)
-        parallel = verify_positive_crossing(4, 5, 3, jobs=2)
-        assert serial.status == parallel.status == "proven"
-        assert [l.canonical for l in serial.logs] == [l.canonical for l in parallel.logs]
-        assert [l.verdict for l in serial.logs] == [l.verdict for l in parallel.logs]
+        # the same records apart from millis, and the same witness
+        def timeless(res):
+            return replace(res, logs=tuple(replace(log, millis=0.0) for log in res.logs))
+
+        for m, n, k, status in [(4, 5, 3, "proven"), (4, 4, 3, "refuted")]:
+            serial = verify_positive_crossing(m, n, k, jobs=1)
+            assert serial.status == status
+            assert timeless(verify_positive_crossing(m, n, k, jobs=2)) == timeless(serial)
 
     def test_parallel_refutation_matches_serial(self):
         # K_{6,8} has 126 layouts, which go out to two workers in 63 batches

@@ -331,6 +331,26 @@ class TestLayoutValidation:
         with pytest.raises(ValueError):
             CircularLayout((("b", 0), ("b", 0), ("w", 0)), 2, 1)
 
+    @pytest.mark.parametrize(
+        "seq, m, n",
+        [
+            ((("b", 0), ("w", 0.0)), 1, 1),
+            ((("b", 0), ("w", 0)), 1.0, 1),
+            ((("b", 0), ("w", 0)), 1, np.float64(1)),
+            ((("b", True), ("b", 0), ("w", 0)), 2, 1),
+        ],
+        ids=["float_label", "float_m", "numpy_float_n", "bool_label"],
+    )
+    def test_non_integer_label_or_size(self, seq, m, n):
+        # each compares equal to an integer: the first used to build, and its
+        # conflict graph raised TypeError; the second raised TypeError here
+        with pytest.raises(ValueError, match="must be integers"):
+            CircularLayout(seq, m, n)
+
+    def test_numpy_integer_labels_and_sizes(self):
+        seq = (("b", np.int64(0)), ("w", np.int32(1)), ("w", 0))
+        assert CircularLayout(seq, np.int64(1), np.uint8(2)).white_positions == [2, 1]
+
     def test_drawing_requires_all_edges(self):
         lay = layout_of(("b", 0), ("w", 0), ("w", 1))
         with pytest.raises(ValueError):
