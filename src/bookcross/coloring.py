@@ -28,10 +28,11 @@ The sweep reads only the layout's 0/1 word.  The chords that pairwise cross
 across a spine cut are a common subsequence of the word left of the cut and
 the colour-flipped word right of it, so each cut's clique size is one
 bit-parallel LCS on Python ints (Allison and Dix, IPL 23, 1986; Hyyro,
-2004).  That size decides first: a layout whose clique exceeds k is not
-colorable, with no clique built.  Only for the others do the clique's
-vertices come from one patience sort at the first cut of largest size, the
-clique a sort at every cut returns; DSATUR pre-colors it.
+2004).  Deciding at k, the sweep skips each cut whose size bound is at most
+k and stops at the first above k: that layout is not colorable, with no
+clique built.  The others get a full sweep and a patience sort at the first
+cut of largest size, the clique a sort at every cut returns; DSATUR
+pre-colors it.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def _lcs_length(short: str, match: Mapping[str, int], width: int) -> int:
     return width - (v & full).bit_count()
 
 
-def _clique_sweep(layout: CircularLayout) -> tuple[int, int]:
+def _clique_sweep(layout: CircularLayout, k: int | None = None) -> tuple[int, int]:
     """The size of a largest set of pairwise-crossing chords, and the first
     spine cut p that such a set straddles (lo <= p < hi), or -1 if no chord.
+    Given k, it stops at the first cut whose set exceeds k; (k, -1) if none.
 
     t pairwise-crossing chords that straddle p are exactly a common
     subsequence of length t of the left word w[0..p] and the colour-flipped
@@ -164,14 +166,15 @@ def _clique_sweep(layout: CircularLayout) -> tuple[int, int]:
     Such a set has distinct left ends in 0..p and distinct right ends above
     p.  With bl blacks and wl whites in 0..p, it is thus at most
     min(bl, n - wl) + min(wl, m - bl) large, and a cut whose bound is at
-    most the best size so far is skipped: it cannot move the first cut."""
+    most the best size so far (k at first, if given) is skipped."""
     m, n = layout.m, layout.n
     word = "".join([c for c, _ in layout.seq])
     size = len(word)
     black = int(word[::-1].replace("b", "1").replace("w", "0") or "0", 2)  # bit p: position p is black
     white = black ^ ((1 << size) - 1)
     whole = {"b": white, "w": black}  # per letter, the positions of the other colour
-    best = bl = wl = 0
+    best = 0 if k is None else k
+    bl = wl = 0
     cut = -1
     for p, c in enumerate(word):
         if c == "b":
@@ -188,6 +191,8 @@ def _clique_sweep(layout: CircularLayout) -> tuple[int, int]:
             length = _lcs_length(word[left:], whole, left)
         if length > best:
             best, cut = length, p
+            if k is not None:
+                break
     return best, cut
 
 
@@ -293,8 +298,8 @@ class _Budget(Exception):
 def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) -> ColoringResult:
     """Exhaustive DSATUR-ordered backtracking k-colorability decision.
 
-    On a layout's graph the sweep's clique size decides first; the clique
-    itself is built only if that size is at most k.  One clique is
+    On a layout's graph the sweep decides first if some cut's clique exceeds
+    k; the clique itself is built only if none does.  One clique is
     pre-colored 0,1,2,... and remaining color classes are introduced in
     first-use order; both reductions preserve completeness, so
     NOT_COLORABLE genuinely means no proper k-coloring exists.  Each node
@@ -315,7 +320,7 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     if nvert == 0:
         return ColoringResult(COLORABLE, (), 0, _ms(start))
 
-    if g.layout is not None and _clique_sweep(g.layout)[0] > k:
+    if g.layout is not None and _clique_sweep(g.layout, k)[0] > k:
         return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))  # no clique built
     clique = find_clique(g)
     if len(clique) > k:

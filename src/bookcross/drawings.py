@@ -381,7 +381,12 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
 # ``order`` is the clockwise spine order; each edge triple is
 # (black index, white index, page), all JSON integers.  Loaders reject other
 # types, duplicate edges, missing edges, and out-of-range vertices or pages.
+# A file's k is at most _MAX_FILE_PAGES: counting and rendering take time
+# and memory per page, so a larger k (which fits 64 bits) is rejected as
+# malformed before any page array is built.
 # ---------------------------------------------------------------------------
+
+_MAX_FILE_PAGES = 2**20
 
 
 def to_json(d: BookDrawing) -> str:
@@ -402,7 +407,7 @@ def _json_int(value, what: str) -> int:
 
 
 def from_json(text: str) -> BookDrawing:
-    """Parse the canonical JSON form; every defect raises DrawingFormatError."""
+    """Parse the canonical JSON form; every defect (k above 2**20 too) raises DrawingFormatError."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, over-long integers, over-deep nesting
@@ -415,6 +420,8 @@ def from_json(text: str) -> BookDrawing:
         edges = doc["edges"]
     except KeyError as exc:
         raise DrawingFormatError(f"missing field: {exc}") from exc
+    if _MAX_FILE_PAGES < k < 2**63:  # from 2**63 on, BookDrawing reports k beyond 64 bits
+        raise DrawingFormatError(f"page count k={k} above the {_MAX_FILE_PAGES} pages a drawing file may hold")
     if not isinstance(order, list) or not isinstance(edges, list):
         raise DrawingFormatError("'order' and 'edges' must be arrays")
     seq = tuple(parse_vertex(name) for name in order)

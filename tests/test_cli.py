@@ -586,6 +586,17 @@ class TestErrors:
         assert err.startswith("malformed drawing file:") and "64-bit" in err
         assert out == "" and not (tmp_path / "out.svg").exists()
 
+    @pytest.mark.parametrize("command", ["crossings", "render"])
+    def test_page_count_above_file_cap_exit_65(self, capsys, tmp_path, command):
+        # fits 64 bits, but a page array of 10**12 entries cannot be built
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"m": 1, "n": 1, "k": %d, "order": ["b0", "w0"], "edges": [[0, 0, 0]]}' % 10**12)
+        argv = [command, str(bad)] + (["-o", str(tmp_path / "out.svg")] if command == "render" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 65
+        assert err.startswith("malformed drawing file:") and "1048576 pages" in err
+        assert out == "" and not (tmp_path / "out.svg").exists()
+
     def test_missing_file_exit_65(self, capsys):
         code, _, _ = run(capsys, "crossings", "/no/such/file.json")
         assert code == 65

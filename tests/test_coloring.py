@@ -360,6 +360,30 @@ class TestBitParallelSweep:
         assert len(calls) == 16_677
         assert all(short <= width for short, width in calls)
 
+    def test_decision_at_k_skips_cuts_that_cannot_beat_k(self, monkeypatch):
+        calls = []
+
+        def recording(short, match, width):
+            calls.append((len(short), width))
+            return _lcs_length(short, match, width)
+
+        monkeypatch.setattr(coloring, "_lcs_length", recording)
+        settled = sum(_clique_sweep(lay, 6)[0] > 6 for lay in enumerate_layouts(7, 13))
+        # against the full sweep's 16,677: a cut whose bound is at most 6 is
+        # skipped, and a layout stops at its first cut above 6
+        assert len(calls) == 4_797
+        assert settled == 1828
+        assert all(short <= width for short, width in calls)
+
+    def test_decision_at_k_on_wide_random_layouts(self):
+        rng = random.Random(1986)
+        for size in range(30, 91, 4):
+            m = rng.randint(1, size - 1)
+            lay = random_layout(rng, m, size - m)
+            best = _clique_sweep(lay)[0]
+            for k in range(1, size):
+                assert (_clique_sweep(lay, k)[0] > k) == (best > k)
+
 
 class TestSweepFirst:
     """``is_k_colorable`` settles a layout from the sweep's size alone and
@@ -376,6 +400,21 @@ class TestSweepFirst:
                     assert cut == lengths.index(best)  # the first cut of largest size
                     checked += 1
         assert checked == sum(count_formula(m, size - m) for size in range(2, 13) for m in range(1, size))
+
+    def test_decision_at_k_matches_full_sweep_up_to_twelve_positions(self):
+        # every k from 1 to m + n - 1: the first cut whose clique exceeds k,
+        # with that clique's size, or (k, -1) if no cut's does
+        for size in range(2, 13):
+            for m in range(1, size):
+                for lay in enumerate_layouts(m, size - m):
+                    lengths = reference_cut_lengths(lay)
+                    best = _clique_sweep(lay)[0]
+                    for k in range(1, size):
+                        above = [p for p, length in enumerate(lengths) if length > k]
+                        want = (lengths[above[0]], above[0]) if above else (k, -1)
+                        got = _clique_sweep(lay, k)
+                        assert got == want
+                        assert (got[0] > k) == (best > k)
 
     def test_size_above_k_settles_without_a_clique(self, monkeypatch, built):
         def refuse(*args):
@@ -790,6 +829,22 @@ class TestVerifyPipeline:
         res = verify_positive_crossing(m, n, k)
         assert res.status == status
         assert sum(log.nodes for log in res.logs) == nodes
+
+    def test_k8_17_proven_at_seven(self, monkeypatch):
+        # a verdict only, not a certificate: 373 layouts reach the clique
+        # build and the search, the sweep settles the other 21,506
+        found = []
+
+        def recording(g):
+            found.append(g.layout)
+            return find_clique(g)
+
+        monkeypatch.setattr(coloring, "find_clique", recording)
+        res = verify_positive_crossing(8, 17, 7)
+        assert res.status == "proven"
+        assert len(res.logs) == count_formula(8, 17) == 21_879
+        assert sum(log.nodes for log in res.logs) == 9_973
+        assert len(found) == 373
 
     def test_k68_witness_pinned(self):
         res = verify_positive_crossing(6, 8, 5)

@@ -509,6 +509,14 @@ class TestJson:
         with pytest.raises(DrawingFormatError, match="out of range"):
             from_json(doc)
 
+    def test_page_count_cap(self):
+        doc = '{"m": 1, "n": 1, "k": %d, "order": ["b0", "w0"], "edges": [[0, 0, 0]]}'
+        assert from_json(doc % 2**20).k == 2**20
+        with pytest.raises(DrawingFormatError, match="above the 1048576 pages"):
+            from_json(doc % (2**20 + 1))
+        with pytest.raises(DrawingFormatError, match="64-bit"):
+            from_json(doc % 2**63)
+
     def test_rejects_edge_out_of_range(self):
         doc = to_json(block_cyclic(2, 2, 1)).replace("[1, 1, 0]", "[2, 0, 0]")
         assert '"edges": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [2, 0, 0]]' in doc
