@@ -289,6 +289,17 @@ def edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
     return (a < c < b) != (a < d < b)
 
 
+# Counting a drawing takes time and memory per page, so count_crossings and
+# page_loads (and render_svg, through count_crossings) refuse a k above
+# _MAX_PAGES before they allocate anything; from_json takes the same cap.
+_MAX_PAGES = 2**20
+
+
+def _check_counted_pages(k: int) -> None:
+    if k > _MAX_PAGES:
+        raise ValueError(f"page count k={k} above the {_MAX_PAGES} pages a drawing can be counted on")
+
+
 def count_crossings(d: BookDrawing) -> CrossingReport:
     """Exact per-page and total crossing counts of a book drawing.
 
@@ -307,6 +318,7 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     the other starts: one search of each right end among the page's sorted
     left ends, in memory linear in the chord count.
     """
+    _check_counted_pages(d.k)
     import numpy as np
 
     lo, hi = d.layout.chords()
@@ -347,6 +359,7 @@ def page_loads(d: BookDrawing, w: int) -> list[int]:
 
     Entries sum to m, the degree of a white vertex.
     """
+    _check_counted_pages(d.k)
     import numpy as np
 
     if not _is_index(w):
@@ -381,12 +394,9 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
 # ``order`` is the clockwise spine order; each edge triple is
 # (black index, white index, page), all JSON integers.  Loaders reject other
 # types, duplicate edges, missing edges, and out-of-range vertices or pages.
-# A file's k is at most _MAX_FILE_PAGES: counting and rendering take time
-# and memory per page, so a larger k (which fits 64 bits) is rejected as
-# malformed before any page array is built.
+# A file's k is at most _MAX_PAGES, so a larger k (which fits 64 bits) is
+# rejected as malformed before any page array is built.
 # ---------------------------------------------------------------------------
-
-_MAX_FILE_PAGES = 2**20
 
 
 def to_json(d: BookDrawing) -> str:
@@ -420,8 +430,8 @@ def from_json(text: str) -> BookDrawing:
         edges = doc["edges"]
     except KeyError as exc:
         raise DrawingFormatError(f"missing field: {exc}") from exc
-    if _MAX_FILE_PAGES < k < 2**63:  # from 2**63 on, BookDrawing reports k beyond 64 bits
-        raise DrawingFormatError(f"page count k={k} above the {_MAX_FILE_PAGES} pages a drawing file may hold")
+    if _MAX_PAGES < k < 2**63:  # from 2**63 on, BookDrawing reports k beyond 64 bits
+        raise DrawingFormatError(f"page count k={k} above the {_MAX_PAGES} pages a drawing file may hold")
     if not isinstance(order, list) or not isinstance(edges, list):
         raise DrawingFormatError("'order' and 'edges' must be arrays")
     seq = tuple(parse_vertex(name) for name in order)

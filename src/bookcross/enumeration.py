@@ -6,16 +6,19 @@ under the dihedral group D_{m+n}.  Orbits are represented by the
 lexicographically minimal string over all rotations of the string and of its
 reversal.
 
-The classes are generated one at a time in ascending order: fixed-content
+The classes are generated one at a time in ascending order: fixed-density
 necklace generation (Ruskey and Sawada) yields the strings that are least
-among their rotations, and the reversal test keeps the bracelets, those that
-are also no greater than any rotation of their reversal (Sawada 2001).  That
-test compares only the rotations of the reversal that start with the
-necklace's longest run of zeros and the '1' after it, since no other rotation
-can be smaller.  The work and memory grow with the number of classes, not
-with 2**(m+n), and no word length is capped.  ``canonical_form`` (brute force
-per string) and ``count_formula`` (Burnside's lemma, one fixed-point count per
-kind of group element) stay as independent references.
+among their rotations, one tree node per black vertex, and the reversal test
+keeps the bracelets, those that are also no greater than any rotation of
+their reversal (Sawada 2001).  A necklace with both colours starts with its
+longest run of zeros and ends in '1', so it is a word of m blocks, each a
+run of zeros and the '1' after it; the walk chooses one block per node.  The
+reversal test compares only the rotations of the reversal that start with
+the first block, since no other rotation can be smaller.  The work and
+memory grow with the number of classes, not with 2**(m+n), and no word
+length is capped.  ``canonical_form`` (brute force per string) and
+``count_formula`` (Burnside's lemma, one fixed-point count per kind of group
+element) stay as independent references.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterator
 from .drawings import CircularLayout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NecklaceClass:
     """One D_{m+n}-orbit: its minimal bitstring and the orbit's size.
 
@@ -55,17 +58,32 @@ def canonical_form(s: str) -> str:
 def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
     """Orbit classes in ascending order, generated one at a time.
 
-    Fixed-content FKM generation over '0' < '1' (Ruskey and Sawada) walks the
-    prenecklaces with n zeros and m ones depth first on an explicit stack, so
-    word length is not limited by the recursion depth.  A full-length word
-    whose period p divides m+n is a necklace s, the least of its rotations; it
-    is kept as a bracelet when it is no greater than any rotation of its
-    reversal (Sawada 2001).  The orbit has p strings, or 2p when the reversal
-    is not a rotation of the necklace.
+    A necklace with both symbols is ``0^a1 1 0^a2 1 ... 0^am 1``, its blocks
+    a1..am summing to n, a1 the largest.  Words of equal content compare as
+    their block sequences do, with a larger block the smaller symbol, so FKM
+    generation (Ruskey and Sawada) runs on the block sequences under that
+    order.  The next block ranges up to the block one period back: an equal
+    one keeps the period p, a smaller one makes the prefix a Lyndon word of
+    period t+1.  A full block sequence is a necklace iff p divides m, and the
+    word's period is then (m+n)*p/m.  The first block ranges over
+    ceil(n/m)..n; a later one takes at least the zeros that the blocks after
+    it, each at most a1, cannot hold.
 
-    The reversal test looks only at anchors, and is exact.  A necklace with
-    both symbols starts with its longest run of zeros, so it starts with
-    ``head = 0^L 1``.  The reversal has the same cyclic runs, so a rotation
+    The walk is depth first on an explicit stack, so word length is not
+    limited by the recursion depth.  A stack entry, (block index, zeros in
+    the block, period in blocks, zeros used), is a frontier state that roots
+    an independent subtree, whose words come out in canonical order.  The
+    pieces ``0^a 1`` live in one shared buffer.  The tails are forced and
+    finished in place, with no stack node: the last block takes the zeros
+    left, and once none are left every later block is a lone '1', which
+    keeps the period iff the blocks one period back are zero too and
+    otherwise makes the word a Lyndon word (period m).
+
+    A necklace s is kept as a bracelet when it is no greater than any
+    rotation of its reversal (Sawada 2001).  The orbit has p strings, p the
+    word's period, or 2p when the reversal is not a rotation of s.  The test
+    looks only at anchors, and is exact.  s starts with ``head``, its first
+    block ``0^a1 1``.  The reversal has the same cyclic runs, so a rotation
     of it that is no greater than s starts with ``head`` too.  The anchors
     are the starts of ``head`` in the doubled reversal below p (the reversal
     also has period p); they never overlap, because ``head`` ends in its
@@ -75,38 +93,60 @@ def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     size = m + n
-    word = ["0"] * size
-    # (position, symbol, period of the prefix ending there, ones in that prefix)
-    stack = [(0, "0", 1, 0)]
+    run = "0" * n + "1"  # run[n - a:] is the block 0^a 1
+    ones = ["1"] * m
+    blocks = [0] * m
+    pieces = [""] * m  # the word is "".join(pieces)
+    # (block index, zeros in the block, period in blocks, zeros used)
+    stack = [(0, a, 1, a) for a in range(-(-n // m), n + 1)]
     while stack:
-        t, symbol, p, ones = stack.pop()
-        word[t] = symbol
+        t, a, p, used = stack.pop()
+        blocks[t] = a
+        pieces[t] = run[n - a:]
         t += 1
-        if t == size:
-            if size % p:
+        left = n - used
+        if not left:
+            pieces[t:] = ones[t:]
+            if any(blocks[t - p : min(t, m - p)]):
+                p = m
+        elif t < m - 1:
+            # pushed in ascending block size, so the largest, the least word,
+            # comes first; a range() over max() and min() timed 10% slower
+            prev = blocks[t - p]
+            b = left - (m - 1 - t) * blocks[0]
+            if b < 0:
+                b = 0
+            top = prev if prev < left else left
+            if b <= top:
+                while b < top:
+                    stack.append((t, b, t + 1, used + b))
+                    b += 1
+                stack.append((t, top, p if top == prev else t + 1, used + top))
+            continue
+        else:
+            prev = blocks[t - p]
+            if left > prev:
                 continue
-            s = "".join(word)
-            head = s[: s.index("1") + 1]
-            twice = s[::-1] * 2
-            orbit = 2 * p
-            i = twice.find(head)
-            while 0 <= i < p:
-                c = twice[i : i + size]
-                if c < s:
-                    break
-                if c == s:
-                    orbit = p
-                i = twice.find(head, i + len(head))
-            else:
-                yield NecklaceClass(s, orbit)
-        elif ones < m:  # with only zeros left the word would end in '0', never a necklace
-            # repeating word[t - p] keeps the period; a '1' above it makes the prefix a Lyndon word
-            if word[t - p] == "1":
-                stack.append((t, "1", p, ones + 1))
-            else:
-                stack.append((t, "1", t + 1, ones + 1))
-                if t - ones < n:
-                    stack.append((t, "0", p, ones))
+            if left < prev:
+                p = m
+            pieces[t] = run[n - left:]
+        if m % p:
+            continue
+        s = "".join(pieces)
+        head = pieces[0]
+        period = size * p // m
+        twice = s[::-1] * 2
+        orbit = 2 * period
+        i = twice.find(head)
+        while 0 <= i < period:
+            c = twice[i : i + size]
+            if c < s:
+                break
+            if c == s:
+                orbit = period
+            i = twice.find(head, i + len(head))
+        else:
+            yield NecklaceClass(s, orbit)
 
 
 def necklace_classes(m: int, n: int) -> list[NecklaceClass]:

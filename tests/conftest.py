@@ -261,8 +261,9 @@ def reference_is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NOD
     return ColoringResult(COLORABLE, witness, nodes, _ms(start))
 
 
-# The bracelet generator as it was before the anchor test, kept as the
-# reference: it compares every rotation of the reversal with the necklace.
+# The bracelet generator as it was before the anchor test and the block
+# walk, kept as the reference: it walks the prenecklaces one bit per node and
+# compares every rotation of the reversal with the necklace.
 # ``necklace_classes`` must return exactly its classes, in the same order.
 def reference_bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
     """Orbit classes in ascending order, generated one at a time.

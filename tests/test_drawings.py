@@ -23,6 +23,7 @@ from bookcross.drawings import (
     to_json,
 )
 from bookcross.enumeration import layout_from_string
+from bookcross.render import render_svg
 
 from conftest import (
     pairwise_crossing_per_page,
@@ -448,6 +449,16 @@ class TestBookDrawingContract:
         assert BookDrawing(d.layout, 2**63 - 1, d.page_array).k == 2**63 - 1
         with pytest.raises(ValueError, match="beyond 64-bit integers"):
             BookDrawing(d.layout, 2**63, d.page_array)
+
+    @pytest.mark.parametrize("k", [2**40, 2**63 - 1])
+    @pytest.mark.parametrize(
+        "count", [count_crossings, lambda d: page_loads(d, 0), render_svg], ids=["crossings", "loads", "svg"]
+    )
+    def test_huge_page_count_not_counted(self, k, count):
+        # both used to fail inside numpy: an 8 TiB allocation, "array is too big"
+        d = self.drawing()
+        with pytest.raises(ValueError, match=f"page count k={k} above the 1048576 pages"):
+            count(BookDrawing(d.layout, k, d.page_array))
 
 
 class TestJson:

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -8,6 +12,7 @@ import pytest
 from bookcross.cli import main
 from bookcross.enumeration import (
     NecklaceClass,
+    _bracelets,
     canonical_form,
     count_formula,
     enumerate_layouts,
@@ -63,6 +68,22 @@ class TestCountFormula:
             count_formula(0, 3)
 
 
+class TestNecklaceClass:
+    def test_round_trips(self):
+        cls = NecklaceClass("000111", 3)
+        for again in (pickle.loads(pickle.dumps(cls)), copy.deepcopy(cls)):
+            assert again == cls and hash(again) == hash(cls)
+            assert again is not cls
+
+    def test_frozen_equality_and_hash(self):
+        cls = NecklaceClass("0011", 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cls.orbit_size = 2
+        assert cls == NecklaceClass("0011", 4) != NecklaceClass("0011", 2)
+        assert len({cls, NecklaceClass("0011", 4), NecklaceClass("0101", 2)}) == 2
+        assert not hasattr(cls, "__dict__")
+
+
 class TestEnumerateLayouts:
     @pytest.mark.parametrize("m,n,expected", [(4, 5, 10), (5, 7, 38), (1, 1, 1)])
     def test_orbit_counts(self, m, n, expected):
@@ -113,8 +134,21 @@ class TestEnumerateLayouts:
 
     def test_matches_reference_generator(self):
         shapes = [(m, total - m) for total in range(15, 19) for m in range(1, total)]
-        for m, n in shapes + [(10, 10)]:
+        skewed = [(2, 500), (500, 2), (3, 200), (200, 3), (40, 3), (3, 40), (5, 40)]
+        for m, n in shapes + [(10, 10)] + skewed:
             assert necklace_classes(m, n) == list(reference_bracelets(m, n)), (m, n)
+
+    def test_walk_memory(self):
+        # the blocks share one buffer: a prefix string per stack entry
+        # traced about 3.5 MB here
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in _bracelets(2, 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == count_formula(2, 3000) == 1501
+        assert peak < 2**20
 
     def test_long_skewed_words(self):
         assert necklace_classes(1, 3000) == [NecklaceClass("0" * 3000 + "1", 3001)]
