@@ -40,7 +40,7 @@ from .coloring import (
     verify_positive_crossing,
 )
 from .constructions import balanced_embedding, block_cyclic, blowup, riskin_drawing
-from .drawings import DrawingFormatError, count_crossings, from_json, to_json
+from .drawings import DrawingFormatError, _is_index, count_crossings, from_json, to_json
 from .enumeration import _bracelets, canonical_form, count_formula, layout_from_string
 from .oracle import DEFAULT_LIMITS, OracleLimits, OracleLimitError, brute_force_run
 from .render import render_svg
@@ -207,7 +207,7 @@ def _load_log(path: str, m: int, n: int, k: int) -> dict[str, LayoutLog]:
                 run = (entry["m"], entry["n"], entry["k"])
                 nodes, millis = entry["nodes"], entry["millis"]
                 # type checks, not int() or float(): those read true as 1 and 1.9 as 1
-                if any(type(x) is not int for x in (*run, nodes)) or nodes < 0:
+                if not all(map(_is_index, (*run, nodes))) or nodes < 0:
                     raise ValueError("m, n, k and nodes must be integers, nodes at least 0")
                 if type(millis) not in (int, float) or not 0 <= millis < float("inf"):
                     raise ValueError("millis must be a finite number, at least 0")

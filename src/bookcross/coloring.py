@@ -46,7 +46,7 @@ from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import Iterator, Mapping, Sequence
 
-from .drawings import BookDrawing, CircularLayout
+from .drawings import BookDrawing, CircularLayout, _is_index
 from .enumeration import layout_from_string, necklace_classes
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -313,8 +313,8 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     all k colors is counted as a node but not entered: its branching vertex
     would have no color to try.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not _is_index(k) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     start = time.perf_counter()
     nvert = g.vertex_count
     if nvert == 0:
@@ -417,8 +417,8 @@ def export_cnf(g: ConflictGraph, k: int) -> str:
     per vertex plus one binary conflict clause per adjacent pair per color;
     at-most-one constraints are unnecessary for the decision variant.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not _is_index(k) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     nvert = g.vertex_count
     lines = [f"p cnf {nvert * k} {nvert + g.edge_count * k}"]
     for v in range(nvert):
@@ -510,7 +510,7 @@ def solve_dimacs(text: str) -> dict[int, bool] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayoutLog:
     canonical: str
     verdict: str
@@ -577,10 +577,9 @@ def verify_positive_crossing(
     ``jobs`` must be at least 1; above 1 it fans layouts out to worker
     processes in batches (results come back in canonical order either way).
     """
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    for name, value, low in (("k", k, 1), ("budget", budget, 0), ("jobs", jobs, 1)):
+        if not _is_index(value) or value < low:
+            raise ValueError(f"{name} must be an integer, at least {low}, got {value!r}")
     layouts = [c.canonical for c in necklace_classes(m, n)]
     done = {s: log for s, log in (completed or {}).items() if log.verdict == NOT_COLORABLE}
     pending = [s for s in layouts if s not in done]

@@ -159,40 +159,45 @@ class PageMap(Mapping):
         return self._array.size
 
 
-def _page_array(pages: Mapping[Edge, int] | np.ndarray, m: int, n: int) -> np.ndarray:
-    """An int64 copy of ``pages`` shaped m x n, with every edge placed once."""
+def _page_array(pages: Mapping[Edge, int] | np.ndarray, layout: CircularLayout) -> np.ndarray:
+    """An int64 copy of ``pages`` shaped m x n, with every edge placed once.
+
+    A mapping's keys pass ``_check_edge``; its pages, and those of nested
+    lists or a non-integer array, pass ``_is_index`` one by one.
+    """
     import numpy as np
 
-    if not isinstance(pages, Mapping):
-        given = np.asarray(pages)
-        if given.shape != (m, n):
-            raise ValueError(f"expected a {m}x{n} page array, got shape {given.shape}")
-        if given.dtype.kind not in "iu":
-            raise ValueError(f"page array must hold integers, got {given.dtype}")
-        return given.astype(np.int64)
-    if len(pages) != m * n:
-        raise ValueError(f"expected {m * n} edges, got {len(pages)}")
+    m, n = layout.m, layout.n
+    if isinstance(pages, Mapping):
+        if len(pages) != m * n:
+            raise ValueError(f"expected {m * n} edges, got {len(pages)}")
+        rows = np.empty((m, n), dtype=object)
+        for e, p in pages.items():
+            try:
+                _check_edge(layout, e)
+            except TypeError:  # a key that does not unpack
+                raise ValueError(f"edge keys must be (i, j) pairs, got {e!r}") from None
+            rows[e] = p
+        pages = rows  # distinct keys, all in range, m*n of them: every edge is placed once
+    given = pages if isinstance(pages, np.ndarray) else np.asarray(pages, dtype=object)
+    if given.shape != (m, n):
+        raise ValueError(f"expected a {m}x{n} page array, got shape {given.shape}")
+    if given.dtype.kind not in "iu":
+        for p in given.flat:
+            if not _is_index(p):
+                raise ValueError(f"pages must be integers, got {p!r}")
     try:
-        edges = np.array(list(pages), dtype=np.int64).reshape(len(pages), 2)
-        values = np.fromiter(pages.values(), dtype=np.int64, count=len(pages))
+        return given.astype(np.int64)
     except OverflowError:
-        raise ValueError("edge index or page out of range: beyond 64-bit integers") from None
-    i, j = edges.T
-    outside = (i < 0) | (i >= m) | (j < 0) | (j >= n)
-    if outside.any():
-        bi, bj = edges[np.argmax(outside)].tolist()
-        raise ValueError(f"edge ({bi},{bj}) out of range for K_{{{m},{n}}}")
-    # distinct keys, all in range, m*n of them: every edge is placed once
-    array = np.empty((m, n), dtype=np.int64)
-    array[i, j] = values
-    return array
+        raise ValueError("page out of range: beyond 64-bit integers") from None
 
 
 class BookDrawing:
     """A CircularLayout plus a page for every edge of K_{m,n}.
 
-    ``pages`` is a mapping from every edge (i, j) to its page, or an m x n
-    integer array.  The drawing keeps a read-only int64 copy as
+    ``pages`` maps every edge (i, j) to its page, or holds m rows of n pages
+    as nested lists or an integer array; an edge index or page that is not an
+    integer raises ValueError.  The drawing keeps a read-only int64 copy as
     ``page_array``; ``pages`` reads it back as a mapping.
     """
 
@@ -205,7 +210,7 @@ class BookDrawing:
             raise ValueError("page count k must be >= 1")
         if k > 2**63 - 1:
             raise ValueError(f"page count k={k} out of range: beyond 64-bit integers")
-        array = _page_array(pages, layout.m, layout.n)
+        array = _page_array(pages, layout)
         outside = (array < 0) | (array >= k)
         if outside.any():
             raise ValueError(f"page {int(array.flat[outside.argmax()])} out of range for k={k}")
@@ -410,12 +415,6 @@ def to_json(d: BookDrawing) -> str:
     return json.dumps(doc, separators=(", ", ": "))
 
 
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DrawingFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def from_json(text: str) -> BookDrawing:
     """Parse the canonical JSON form; every defect (k above 2**20 too) raises DrawingFormatError."""
     try:
@@ -425,11 +424,11 @@ def from_json(text: str) -> BookDrawing:
     if not isinstance(doc, dict):
         raise DrawingFormatError("top-level value must be an object")
     try:
-        m, n, k = (_json_int(doc[key], key) for key in ("m", "n", "k"))
-        order = doc["order"]
-        edges = doc["edges"]
+        m, n, k, order, edges = (doc[key] for key in ("m", "n", "k", "order", "edges"))
     except KeyError as exc:
         raise DrawingFormatError(f"missing field: {exc}") from exc
+    if not all(map(_is_index, (m, n, k))):
+        raise DrawingFormatError(f"m, n and k must be integers, got {(m, n, k)!r}")
     if _MAX_PAGES < k < 2**63:  # from 2**63 on, BookDrawing reports k beyond 64 bits
         raise DrawingFormatError(f"page count k={k} above the {_MAX_PAGES} pages a drawing file may hold")
     if not isinstance(order, list) or not isinstance(edges, list):
@@ -437,9 +436,9 @@ def from_json(text: str) -> BookDrawing:
     seq = tuple(parse_vertex(name) for name in order)
     pages: dict[Edge, int] = {}
     for item in edges:
-        if not (isinstance(item, list) and len(item) == 3):
-            raise DrawingFormatError(f"edge entries must be [i, j, p] triples, got {item!r}")
-        i, j, p = (_json_int(x, "edge entry") for x in item)
+        if not (isinstance(item, list) and len(item) == 3 and all(map(_is_index, item))):
+            raise DrawingFormatError(f"edge entries must be [i, j, p] integer triples, got {item!r}")
+        i, j, p = item
         if (i, j) in pages:  # a dict would silently keep only the last one
             raise DrawingFormatError(f"duplicate edge ({i},{j})")
         pages[(i, j)] = p

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 from .coloring import conflict_graph
 from .constructions import balanced_embedding, balanced_parameters, block_cyclic, blowup, riskin_drawing
-from .drawings import CircularLayout, count_crossings
+from .drawings import CircularLayout, _is_index, count_crossings
 from .enumeration import enumerate_layouts
 
 
@@ -38,8 +38,9 @@ class OracleLimits:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value < 0:
-                raise ValueError(f"{f.name} must be non-negative, got {value}")
+            if not _is_index(value) or value < 0:
+                kind = "non-negative" if _is_index(value) else "an integer"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 DEFAULT_LIMITS = OracleLimits()

@@ -124,6 +124,11 @@ class TestAsymptoticBounds:
         ratio = hi / Fraction(2 * n * n, k * k)
         assert 1 < ratio < Fraction(10001, 10000)
 
+    @pytest.mark.parametrize("k, n", [(0, 5), (3, 0)])
+    def test_nonpositive_rejected(self, k, n):
+        with pytest.raises(ValueError, match="k and n must be positive"):
+            asymptotic_bounds(k, n)
+
     def test_sandwiches_exact_values(self):
         for k in range(2, 7):
             for n in range(1, 200):
@@ -184,6 +189,8 @@ class TestBlockCyclicBound:
 class TestNonembeddableWidth:
     def test_k1(self):
         assert nonembeddable_width(1) == 501
+        with pytest.raises(ValueError, match="k must be positive"):
+            nonembeddable_width(0)
 
     def test_matches_high_precision_ceiling(self):
         mpmath.mp.dps = 60

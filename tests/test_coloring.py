@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import sys
 from dataclasses import replace
@@ -182,6 +185,7 @@ class TestLazyAdjacency:
         a, b = (conflict_graph(layout_from_string(s)) for s in ("000001111", "001010101"))
         assert (a.m, a.n) == (b.m, b.n)
         assert a != b
+        assert a.__eq__(1) is NotImplemented and a != 1
         # all ten K_{4,5} graphs differ, so none of them may compare equal
         assert len({conflict_graph(lay) for lay in enumerate_layouts(4, 5)}) == 10
 
@@ -505,6 +509,12 @@ class TestIsKColorable:
         with pytest.raises(ValueError):
             is_k_colorable(graph_from_edges(2, []), 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_k(self, k):
+        # 2.5 used to read as "not colorable" on this K_{4,5} layout
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            is_k_colorable(conflict_graph(layout_from_string("001010101")), k)
+
 
 def outcome(res):
     return res.status, res.nodes, res.assignment
@@ -611,6 +621,11 @@ class TestSaturationLevels:
 
 
 class TestCnf:
+    @pytest.mark.parametrize("k", [0, 2.5, True])
+    def test_bad_k(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            export_cnf(graph_from_edges(2, [(0, 1)]), k)
+
     def test_single_edge_two_colors(self):
         g = graph_from_edges(2, [(0, 1)])
         cnf = export_cnf(g, 2)
@@ -733,6 +748,19 @@ class TestVerifyPipeline:
         res = verify_positive_crossing(5, 7, 4, budget=1)
         assert res.status == "inconclusive"
         assert res.unfinished
+
+    @pytest.mark.parametrize(
+        "k, budget, jobs, name",
+        [(3.0, 10, 1, "k"), (0, 10, 1, "k"), (3, True, 1, "budget"), (3, 2.5, 1, "budget"),
+         (3, -1, 1, "budget"), (3, 10, True, "jobs"), (3, 10, 2.5, "jobs"), (3, 10, 0, "jobs")],
+        ids=["float_k", "zero_k", "bool_budget", "fractional_budget", "negative_budget", "bool_jobs",
+             "fractional_jobs", "zero_jobs"],
+    )
+    def test_bad_arguments(self, k, budget, jobs, name):
+        # budget True or 2.5 used to end inconclusive, jobs True to run, and
+        # jobs 2.5 or k 3.0 to raise TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            verify_positive_crossing(4, 5, k, budget=budget, jobs=jobs)
 
     def test_parallel_matches_serial(self):
         # the same records apart from millis, and the same witness
@@ -859,3 +887,18 @@ class TestVerifyPipeline:
         assert res.status == COLORABLE
         d = coloring_to_drawing(lay, res.assignment, 1)
         assert count_crossings(d).total == 0
+
+
+class TestLayoutLog:
+    LOG = LayoutLog("001010101", NOT_COLORABLE, 12, 0.5)
+
+    def test_slotted_and_frozen(self):
+        assert not hasattr(self.LOG, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.LOG.nodes = 0
+
+    def test_copies_and_replace(self):
+        for again in (pickle.loads(pickle.dumps(self.LOG)), copy.deepcopy(self.LOG), copy.copy(self.LOG)):
+            assert again == self.LOG and again.to_dict() == self.LOG.to_dict()
+        changed = replace(self.LOG, millis=0.0)
+        assert changed == LayoutLog("001010101", NOT_COLORABLE, 12, 0.0) != self.LOG

@@ -178,6 +178,8 @@ class TestBlockCyclic:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             block_cyclic(3, 3, 0)
+        with pytest.raises(ValueError):
+            block_cyclic(0, 3, 2)
 
 
 def outcome(f, *args):

@@ -113,6 +113,8 @@ class TestCountCrossings:
         rep = count_crossings(block_cyclic(5, 6, 2))
         assert rep.total == sum(rep.per_page)
         assert len(rep.per_page) == 2
+        with pytest.raises(ValueError, match="total must equal"):
+            CrossingReport(1, (0,))
 
     def test_matches_pairwise_reference(self):
         rng = random.Random(11)
@@ -368,6 +370,9 @@ class TestLayoutValidation:
             BookDrawing(lay, 0, {(0, 0): 0})
 
 
+OTHER_EDGES_ON_PAGE_0 = {(0, 1): 0, (1, 0): 0, (1, 1): 0}
+
+
 class TestBookDrawingContract:
     def drawing(self):
         rng = random.Random(37)
@@ -413,6 +418,11 @@ class TestBookDrawingContract:
         assert BookDrawing(d.layout, d.k + 1, d.page_array) != d
         assert BookDrawing(d.layout, d.k, (d.page_array + 1) % d.k) != d
         assert BookDrawing(d.layout.rotated(1), d.k, d.page_array) != d
+        assert d.__eq__(1) is NotImplemented and d != 1
+
+    def test_repr_shows_the_page_array(self):
+        d = self.drawing()
+        assert repr(d) == f"BookDrawing(layout={d.layout!r}, k=3, page_array={d.page_array.tolist()!r})"
 
     def test_pickle_round_trip(self):
         d = blowup(balanced_embedding(4), 9)
@@ -430,6 +440,34 @@ class TestBookDrawingContract:
         d = self.drawing()
         with pytest.raises(ValueError, match="page array"):
             BookDrawing(d.layout, 3, array)
+
+    @pytest.mark.parametrize(
+        "pages",
+        [
+            {(0, 0): 1.9, **OTHER_EDGES_ON_PAGE_0},
+            {(0, 0): True, **OTHER_EDGES_ON_PAGE_0},
+            {(0, 0): np.True_, **OTHER_EDGES_ON_PAGE_0},
+            {(0, 0): "1", **OTHER_EDGES_ON_PAGE_0},
+            {(0.0, 0): 1, **OTHER_EDGES_ON_PAGE_0},
+            [[True, 0], [0, 0]],
+            {5: 1, **OTHER_EDGES_ON_PAGE_0},
+            {(0, 0): [1], **OTHER_EDGES_ON_PAGE_0},
+            np.array([[1.0, 0.0], [0.0, 0.0]]),
+            [[True, False], [False, False]],
+        ],
+        ids=["float", "bool", "numpy_bool", "str", "float_key", "bool_in_list", "key_not_a_pair",
+             "list_page", "float_array", "bool_list"],
+    )
+    def test_non_integer_page_or_edge(self, pages):
+        # the first six used to build, each with page 1 on edge (0, 0)
+        with pytest.raises(ValueError, match="integers|pairs"):
+            BookDrawing(layout_from_string("1100"), 2, pages)
+
+    def test_numpy_integer_keys_and_pages(self):
+        pages = {(np.int64(0), np.uint8(0)): np.int32(1), **OTHER_EDGES_ON_PAGE_0}
+        d = BookDrawing(layout_from_string("1100"), 2, pages)
+        assert d.page_array.tolist() == [[1, 0], [0, 0]]
+        assert BookDrawing(d.layout, 2, [[np.int64(1), 0], (0, np.uint16(0))]) == d
 
     @pytest.mark.parametrize("page", [-1, 3, 7])
     def test_page_out_of_range(self, page):
@@ -518,6 +556,17 @@ class TestJson:
     def test_rejects_integers_beyond_64_bits(self, edge):
         doc = to_json(block_cyclic(2, 2, 1)).replace("[1, 1, 0]", edge)
         with pytest.raises(DrawingFormatError, match="out of range"):
+            from_json(doc)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"k": 1', '"k": 1.0'), ('"k": 1', '"k": true'), ('"m": 2', '"m": "2"'),
+         ("[1, 1, 0]", "[1, 1, 0.0]"), ("[1, 1, 0]", "[1, true, 0]"), ("[1, 1, 0]", "[1, 1, [0]]")],
+        ids=["float_k", "bool_k", "string_m", "float_page", "bool_vertex", "list_page"],
+    )
+    def test_rejects_non_integer_fields(self, old, new):
+        doc = to_json(block_cyclic(2, 2, 1)).replace(old, new)
+        with pytest.raises(DrawingFormatError, match="integer"):
             from_json(doc)
 
     def test_page_count_cap(self):

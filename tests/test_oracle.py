@@ -2,8 +2,9 @@ import pytest
 
 from bookcross import oracle
 from bookcross.bounds import exact_crossing_number, zarankiewicz
+from bookcross.coloring import verify_positive_crossing
 from bookcross.constructions import riskin_crossing_count
-from bookcross.enumeration import layout_from_string, necklace_classes
+from bookcross.enumeration import count_formula, layout_from_string, necklace_classes
 from bookcross.oracle import (
     OracleLimitError,
     OracleLimits,
@@ -104,6 +105,19 @@ class TestLimits:
         limits = OracleLimits(max_vertices=11, max_pages=4, node_budget=10**8)
         assert brute_force_nu(4, 5, 4, limits) == 0
 
+    @pytest.mark.parametrize(
+        "field, value", [("max_pages", 2.5), ("max_vertices", 10.0), ("node_budget", True)]
+    )
+    def test_non_integer_limit(self, field, value):
+        # max_pages=2.5 used to build, and the oracle ran under it
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OracleLimits(**{field: value})
+
+    @pytest.mark.parametrize("m, n, k", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_nonpositive_instance(self, m, n, k):
+        with pytest.raises(ValueError, match="must be positive"):
+            brute_force_run(m, n, k)
+
     def test_node_budget_enforced(self):
         limits = OracleLimits(max_vertices=10, max_pages=3, node_budget=5)
         with pytest.raises(OracleLimitError):
@@ -121,6 +135,24 @@ class TestPagenumber:
     def test_2_5_needs_two_pages(self):
         # K_{2,5} is not outerplanar but embeds in 2 pages
         assert brute_force_pagenumber(2, 5) == 2
+
+    def test_5_5_needs_four_pages_and_stops_at_zero(self, monkeypatch):
+        # pn(K_{5,5}) = floor(2*5/3) + 1: three pages force a crossing, and at
+        # four the walk stops at the 3rd of 16 layouts, the first with 0
+        limits = OracleLimits(max_pages=4)
+        assert brute_force_pagenumber(5, 5, limits) == 4 == 2 * 5 // 3 + 1
+        assert verify_positive_crossing(5, 5, 3).status == "proven"
+        assert verify_positive_crossing(5, 5, 4).status == "refuted"
+        calls = []
+        walk = oracle._layout_minimum
+
+        def counting(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(oracle, "_layout_minimum", counting)
+        assert brute_force_run(5, 5, 4, limits).value == 0
+        assert len(calls) == 3 and count_formula(5, 5) == 16
 
     def test_limit_exceeded(self):
         limits = OracleLimits(max_vertices=10, max_pages=2, node_budget=10**8)
