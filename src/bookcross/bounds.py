@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
+from .drawings import _check_ints
+
 Number = int | Fraction
 
 _EXACT_K = range(2, 7)  # the k for which exact_crossing_number is established
@@ -70,11 +72,14 @@ class BoundValue:
 
 def zarankiewicz(m: int, n: int) -> int:
     """Z(m,n) = floor(m/2) floor((m-1)/2) floor(n/2) floor((n-1)/2)."""
+    _check_ints(0, m=m, n=n)
     return (m // 2) * ((m - 1) // 2) * (n // 2) * ((n - 1) // 2)
 
 
 def riskin_value(m: int, n: int) -> BoundValue:
     """Exact 1-page crossing number n(m-1)(2mn-3m-n)/12, valid iff m | n."""
+    _check_ints(m=m)
+    _check_ints(0, n=n)
     value = Fraction(n * (m - 1) * (2 * m * n - 3 * m - n), 12)
     valid = n % m == 0
     if valid:
@@ -89,8 +94,8 @@ def turan_lower(k: int, n: int, s: int) -> int:
     that hypothesis (s = floor((k+1)^2/4) for k in 2..6, or the general
     non-embeddable width).  Zero for n <= s.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
+    _check_ints(s=s)
+    _check_ints(0, n=n)
     q = n % s
     c = (n - q) // s
     return q * comb(c + 1, 2) + (s - q) * comb(c, 2)
@@ -102,6 +107,7 @@ def exact_crossing_number(k: int, n: int) -> int:
     Equals the clique-partition bound at s = floor((k+1)^2/4), which the
     blow-up construction attains.  At k=2 this is Z(3,n).
     """
+    _check_ints(k=k)
     if k not in _EXACT_K:
         raise ValueError(f"exact values are only established for k in {_EXACT_K[0]}..{_EXACT_K[-1]}")
     return turan_lower(k, n, (k + 1) ** 2 // 4)
@@ -121,8 +127,7 @@ def asymptotic_bounds(k: int, n: int) -> tuple[Fraction, Fraction]:
     to the next integer, weakening (never overstating) the reported bound;
     the upper bound is exact.
     """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be positive")
+    _check_ints(k=k, n=n)
     denom = k * k + _ceil_scaled_k74(2000, k)
     lower = Fraction(2 * n * n, denom) - n
     upper = Fraction(2 * n * n, k * k) + Fraction(n, 2)
@@ -136,6 +141,8 @@ def multiplanar_lower_even(k: int, n: int) -> int:
     some small n (for example k=4, n=12 gives 12 against the exact 6); the
     discrepancy is surfaced by consistency_scan rather than silently patched.
     """
+    _check_ints(k=k)
+    _check_ints(0, n=n)
     if k % 2:
         raise ValueError("this bound requires even k")
     blocks = n // (k * (k - 1))
@@ -147,6 +154,8 @@ def general_lower(k: int, m: int, n: int) -> BoundValue:
 
     Valid for m >= 6 ceil(k/2) - 1 and n >= max(6 ceil(k/2) - 1, 2 ceil(k/2)^2).
     """
+    _check_ints(k=k)
+    _check_ints(0, m=m, n=n)
     r = (k + 1) // 2
     value = Fraction(comb(m, 2) * comb(n, 2), 3 * (3 * r - 1) ** 2)
     valid = m >= 6 * r - 1 and n >= max(6 * r - 1, 2 * r * r)
@@ -155,8 +164,8 @@ def general_lower(k: int, m: int, n: int) -> BoundValue:
 
 def block_cyclic_bound(k: int, m: int, n: int) -> int:
     """Upper bound (m-r)(n-s)(m-k+r)(n-k+s)/(4k^2) from the block-cyclic drawing."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_ints(k=k)
+    _check_ints(0, m=m, n=n)
     r = m % k
     s = n % k
     value, rem = divmod((m - r) * (n - s) * (m - k + r) * (n - k + s), 4 * k * k)
@@ -169,8 +178,7 @@ def nonembeddable_width(k: int) -> int:
     """ceil(k^2/4 + 500 k^(7/4)), the least w with 4w >= k^2 + 2000 k^(7/4):
     K_{k+1,n} has no k-page embedding for n at or beyond it.  4w is an integer,
     so rounding 2000 k^(7/4) up first (``_ceil_scaled_k74``) keeps w exact."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_ints(k=k)
     return -(-(k * k + _ceil_scaled_k74(2000, k)) // 4)
 
 
@@ -231,8 +239,7 @@ class ScanReport:
 
 def family_rows(k: int, n: int) -> list[ScanRow]:
     """Every applicable bound row for the family K_{k+1,n}."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_ints(k=k, n=n)
     rows: list[ScanRow] = []
     m = k + 1
     ell = (k + 1) ** 2 // 4
@@ -258,9 +265,7 @@ def family_rows(k: int, n: int) -> list[ScanRow]:
 def general_rows(k: int, m: int, n: int) -> list[ScanRow]:
     """The bound rows for a general K_{m,n}; each row's ``valid`` says whether
     its formula applies at this k."""
-    for name, value in (("m", m), ("n", n)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
+    _check_ints(k=k, m=m, n=n)
     glb = general_lower(k, m, n)
     rv = riskin_value(m, n)
     return [

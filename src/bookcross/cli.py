@@ -40,7 +40,7 @@ from .coloring import (
     verify_positive_crossing,
 )
 from .constructions import balanced_embedding, block_cyclic, blowup, riskin_drawing
-from .drawings import DrawingFormatError, _is_index, count_crossings, from_json, to_json
+from .drawings import DrawingFormatError, _check_ints, _is_index, count_crossings, from_json, to_json
 from .enumeration import _bracelets, canonical_form, count_formula, layout_from_string
 from .oracle import DEFAULT_LIMITS, OracleLimits, OracleLimitError, brute_force_run
 from .render import render_svg
@@ -276,8 +276,7 @@ def _cmd_bounds(args) -> int:
         print("bounds --scan takes K N: it scans the K_{k+1,n} family only", file=sys.stderr)
         return EXIT_USAGE
     if args.scan:
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+        _check_ints(n=n)
         report = bounds_mod.consistency_scan([k], range(1, n + 1))
         print(
             json.dumps(

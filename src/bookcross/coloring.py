@@ -46,7 +46,7 @@ from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import Iterator, Mapping, Sequence
 
-from .drawings import BookDrawing, CircularLayout, _is_index
+from .drawings import BookDrawing, CircularLayout, _check_ints
 from .enumeration import layout_from_string, necklace_classes
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -313,8 +313,8 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     all k colors is counted as a node but not entered: its branching vertex
     would have no color to try.
     """
-    if not _is_index(k) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_ints(k=k)
+    _check_ints(0, budget=budget)
     start = time.perf_counter()
     nvert = g.vertex_count
     if nvert == 0:
@@ -393,6 +393,8 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
         ok = extend(free, forbid, level, len(clique))
     except _Budget:
         return ColoringResult(BUDGET_EXCEEDED, None, nodes, _ms(start))
+    except RecursionError as exc:  # one level per vertex colored
+        raise ValueError(f"a colouring search over {nvert} vertices is deeper than Python's recursion limit") from exc
     if not ok:
         return ColoringResult(NOT_COLORABLE, None, nodes, _ms(start))
     witness = tuple(color)
@@ -417,8 +419,7 @@ def export_cnf(g: ConflictGraph, k: int) -> str:
     per vertex plus one binary conflict clause per adjacent pair per color;
     at-most-one constraints are unnecessary for the decision variant.
     """
-    if not _is_index(k) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_ints(k=k)
     nvert = g.vertex_count
     lines = [f"p cnf {nvert * k} {nvert + g.edge_count * k}"]
     for v in range(nvert):
@@ -577,9 +578,8 @@ def verify_positive_crossing(
     ``jobs`` must be at least 1; above 1 it fans layouts out to worker
     processes in batches (results come back in canonical order either way).
     """
-    for name, value, low in (("k", k, 1), ("budget", budget, 0), ("jobs", jobs, 1)):
-        if not _is_index(value) or value < low:
-            raise ValueError(f"{name} must be an integer, at least {low}, got {value!r}")
+    _check_ints(k=k, jobs=jobs)
+    _check_ints(0, budget=budget)
     layouts = [c.canonical for c in necklace_classes(m, n)]
     done = {s: log for s, log in (completed or {}).items() if log.verdict == NOT_COLORABLE}
     pending = [s for s in layouts if s not in done]

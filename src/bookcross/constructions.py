@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 from .bounds import block_cyclic_bound, riskin_value, turan_lower
-from .drawings import BookDrawing, CircularLayout, is_balanced_embedding
+from .drawings import BookDrawing, CircularLayout, _check_ints, is_balanced_embedding
 from .enumeration import layout_from_string
 
 
@@ -54,8 +54,7 @@ def riskin_drawing(m: int, n: int) -> BookDrawing:
     """
     import numpy as np
 
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    _check_ints(m=m, n=n)
     group, rem = divmod(n, m)
     if rem:
         warnings.warn(
@@ -90,8 +89,7 @@ class BalancedParams:
 
     @classmethod
     def for_pages(cls, k: int) -> "BalancedParams":
-        if k < 1:
-            raise ValueError("k must be positive")
+        _check_ints(k=k)
         s = (k + 1) // 2
         return cls(k, s, (k + 1) - s)
 
@@ -152,8 +150,7 @@ def blowup(base: BookDrawing, n: int) -> BookDrawing:
     if not is_balanced_embedding(base):
         raise ValueError("blow-up base must be a balanced embedding")
     ell = base.n
-    if n < ell:
-        raise ValueError(f"target white count {n} is below the base's {ell}")
+    _check_ints(ell, n=n)
     q, size = n % ell, (n - n % ell) // ell
     cluster = [size + 1 if j < q else size for j in range(ell)]
     offset = [0] * ell
@@ -176,8 +173,7 @@ def blowup_crossing_count(k: int, n: int) -> int:
     """Closed-form crossing total of ``blowup(balanced_embedding(k), n)``:
     ``bounds.turan_lower`` at width s*t, which the blow-up attains."""
     s, t = balanced_parameters(k)
-    if n < s * t:
-        raise ValueError(f"n must be at least {s * t}")
+    _check_ints(s * t, n=n)
     return turan_lower(k, n, s * t)
 
 
@@ -192,10 +188,7 @@ def block_cyclic(m: int, n: int, k: int) -> BookDrawing:
     """
     import numpy as np
 
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_ints(m=m, n=n, k=k)
     p, r = divmod(m, k)
     q, s = divmod(n, k)
     bsizes = [p + 1 if g >= k - r else p for g in range(k)]

@@ -204,10 +204,7 @@ class BookDrawing:
     __slots__ = ("layout", "k", "page_array")
 
     def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
-        if not _is_index(k):
-            raise ValueError(f"page count k must be an integer, got {k!r}")
-        if k < 1:
-            raise ValueError("page count k must be >= 1")
+        _check_ints(**{"page count k": k})
         if k > 2**63 - 1:
             raise ValueError(f"page count k={k} out of range: beyond 64-bit integers")
         array = _page_array(pages, layout)
@@ -266,6 +263,17 @@ def _is_index(v: object) -> bool:
     would pay on every ``edges_cross`` call.
     """
     return type(v) is int or (not isinstance(v, bool) and isinstance(v, Integral))
+
+
+def _check_ints(low: int = 1, **values: object) -> None:
+    """Raise ValueError, naming the argument, at the first value that is not
+    an integer (``_is_index``) or is below ``low``."""
+    for name, value in values.items():
+        if not _is_index(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            least = "positive" if low == 1 else "non-negative" if low == 0 else f"at least {low}"
+            raise ValueError(f"{name} must be {least}, got {value!r}")
 
 
 def _check_edge(layout: CircularLayout, e: Edge) -> None:
@@ -367,9 +375,8 @@ def page_loads(d: BookDrawing, w: int) -> list[int]:
     _check_counted_pages(d.k)
     import numpy as np
 
-    if not _is_index(w):
-        raise ValueError(f"white vertex must be an integer, got {w!r}")
-    if not (0 <= w < d.n):
+    _check_ints(0, **{"white vertex": w})
+    if w >= d.n:
         raise ValueError(f"white vertex {w} out of range for n={d.n}")
     return np.bincount(d.page_array[:, w], minlength=d.k).tolist()
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator
 
-from .drawings import CircularLayout
+from .drawings import CircularLayout, _check_ints
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +90,7 @@ def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
     only '1'.  s is a bracelet iff no anchored rotation is less than s, and
     the reversal is a rotation of s iff one equals s.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    _check_ints(m=m, n=n)
     size = m + n
     run = "0" * n + "1"  # run[n - a:] is the block 0^a 1
     ones = ["1"] * m
@@ -190,8 +189,7 @@ def count_formula(m: int, n: int) -> int:
     even, b being the blacks it fixes.  For odd L all L reflections have
     f = 1; for even L half have f = 2 and half f = 0.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    _check_ints(m=m, n=n)
     size = m + n
     rotations = 0
     for t in range(size):

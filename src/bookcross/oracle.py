@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 from .coloring import conflict_graph
 from .constructions import balanced_embedding, balanced_parameters, block_cyclic, blowup, riskin_drawing
-from .drawings import CircularLayout, _is_index, count_crossings
+from .drawings import CircularLayout, _check_ints, count_crossings
 from .enumeration import enumerate_layouts
 
 
@@ -36,11 +36,7 @@ class OracleLimits:
     node_budget: int = 100_000_000
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_index(value) or value < 0:
-                kind = "non-negative" if _is_index(value) else "an integer"
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        _check_ints(0, **{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -146,8 +142,7 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
 
 def brute_force_run(m: int, n: int, k: int, limits: OracleLimits = DEFAULT_LIMITS) -> OracleRun:
     """Exact minimum crossings over all k-page drawings of K_{m,n}, with stats."""
-    if m < 1 or n < 1 or k < 1:
-        raise ValueError("m, n, k must be positive")
+    _check_ints(m=m, n=n, k=k)
     if m + n > limits.max_vertices:
         raise OracleLimitError(
             f"m+n = {m + n} exceeds the oracle limit of {limits.max_vertices} vertices"

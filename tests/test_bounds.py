@@ -126,7 +126,7 @@ class TestAsymptoticBounds:
 
     @pytest.mark.parametrize("k, n", [(0, 5), (3, 0)])
     def test_nonpositive_rejected(self, k, n):
-        with pytest.raises(ValueError, match="k and n must be positive"):
+        with pytest.raises(ValueError, match=f"{'k' if k < 1 else 'n'} must be positive, got 0"):
             asymptotic_bounds(k, n)
 
     def test_sandwiches_exact_values(self):

@@ -230,6 +230,15 @@ class TestVerifyPagenumber:
             assert code == 64
             assert "jobs" in err and "proven" not in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_search_deeper_than_the_recursion_limit_exit_64(self, jobs):
+        # K_{2,500} at k = 2 used to exit 1, the refuted code, with a RecursionError traceback
+        proc = cli_process("verify-pagenumber", "2", "500", "2", "--jobs", jobs)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 64
+        assert out == ""
+        assert err.startswith("error: ") and "1000 vertices" in err and "Traceback" not in err
+
     def test_export_cnf(self, capsys, tmp_path):
         cnf_dir = tmp_path / "cnfs"
         code, _, _ = run(

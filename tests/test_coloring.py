@@ -512,7 +512,7 @@ class TestIsKColorable:
     @pytest.mark.parametrize("k", [2.5, 2.0, True])
     def test_non_integer_k(self, k):
         # 2.5 used to read as "not colorable" on this K_{4,5} layout
-        with pytest.raises(ValueError, match="k must be a positive integer"):
+        with pytest.raises(ValueError, match="k must be an integer"):
             is_k_colorable(conflict_graph(layout_from_string("001010101")), k)
 
 
@@ -623,7 +623,7 @@ class TestSaturationLevels:
 class TestCnf:
     @pytest.mark.parametrize("k", [0, 2.5, True])
     def test_bad_k(self, k):
-        with pytest.raises(ValueError, match="k must be a positive integer"):
+        with pytest.raises(ValueError, match="k must be positive, got 0" if k == 0 else "k must be an integer"):
             export_cnf(graph_from_edges(2, [(0, 1)]), k)
 
     def test_single_edge_two_colors(self):
@@ -750,17 +750,24 @@ class TestVerifyPipeline:
         assert res.unfinished
 
     @pytest.mark.parametrize(
-        "k, budget, jobs, name",
-        [(3.0, 10, 1, "k"), (0, 10, 1, "k"), (3, True, 1, "budget"), (3, 2.5, 1, "budget"),
-         (3, -1, 1, "budget"), (3, 10, True, "jobs"), (3, 10, 2.5, "jobs"), (3, 10, 0, "jobs")],
+        "k, budget, jobs, message",
+        [(3.0, 10, 1, "k must be an integer"), (0, 10, 1, "k must be positive, got 0"),
+         (3, True, 1, "budget must be an integer"), (3, 2.5, 1, "budget must be an integer"),
+         (3, -1, 1, "budget must be non-negative, got -1"), (3, 10, True, "jobs must be an integer"),
+         (3, 10, 2.5, "jobs must be an integer"), (3, 10, 0, "jobs must be positive, got 0")],
         ids=["float_k", "zero_k", "bool_budget", "fractional_budget", "negative_budget", "bool_jobs",
              "fractional_jobs", "zero_jobs"],
     )
-    def test_bad_arguments(self, k, budget, jobs, name):
+    def test_bad_arguments(self, k, budget, jobs, message):
         # budget True or 2.5 used to end inconclusive, jobs True to run, and
         # jobs 2.5 or k 3.0 to raise TypeError
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=message):
             verify_positive_crossing(4, 5, k, budget=budget, jobs=jobs)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # the search recurses once per vertex colored; it used to end in a RecursionError
+        with pytest.raises(ValueError, match="search over 1000 vertices is deeper than Python's recursion limit"):
+            verify_positive_crossing(2, 500, 2)
 
     def test_parallel_matches_serial(self):
         # the same records apart from millis, and the same witness

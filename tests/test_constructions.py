@@ -195,7 +195,7 @@ class TestClosedFormDelegates:
         for m in range(0, 13):
             for n in range(0, 30):
                 if m == 0:
-                    expected = ZeroDivisionError
+                    expected = ValueError
                 else:
                     exact = riskin_value(m, n)
                     expected = exact.value if exact.valid else ValueError

@@ -1,14 +1,25 @@
 import math
 import pickle
 import random
+import re
 import tracemalloc
+from argparse import Namespace
 from collections.abc import Mapping
 from itertools import product
 
 import numpy as np
 import pytest
 
-from bookcross.constructions import balanced_embedding, block_cyclic, blowup, riskin_crossing_count, riskin_drawing
+from bookcross import bounds, cli, coloring, enumeration, oracle
+from bookcross.constructions import (
+    BalancedParams,
+    balanced_embedding,
+    block_cyclic,
+    blowup,
+    blowup_crossing_count,
+    riskin_crossing_count,
+    riskin_drawing,
+)
 from bookcross.drawings import (
     BookDrawing,
     CircularLayout,
@@ -594,3 +605,56 @@ class TestJson:
             from_json("not json at all")
         with pytest.raises(DrawingFormatError):
             from_json("[1, 2, 3]")
+
+
+K22 = coloring.conflict_graph(layout_from_string("1100"))
+
+# (entry point, a call that passes v as the named argument, its name, its least value)
+INTEGER_ARGUMENTS = [
+    ("BookDrawing", lambda v: BookDrawing(layout_from_string("10"), v, [[0]]), "page count k", 1),
+    ("page_loads", lambda v: page_loads(block_cyclic(3, 4, 2), v), "white vertex", 0),
+    ("zarankiewicz", lambda v: bounds.zarankiewicz(v, 5), "m", 0),
+    ("riskin_value", lambda v: bounds.riskin_value(v, 5), "m", 1),
+    ("turan_lower_s", lambda v: bounds.turan_lower(3, 5, v), "s", 1),
+    ("turan_lower_n", lambda v: bounds.turan_lower(3, v, 4), "n", 0),
+    ("exact_crossing_number", lambda v: bounds.exact_crossing_number(v, 5), "k", 1),
+    ("asymptotic_bounds", lambda v: bounds.asymptotic_bounds(3, v), "n", 1),
+    ("multiplanar_lower_even", lambda v: bounds.multiplanar_lower_even(v, 5), "k", 1),
+    ("general_lower", lambda v: bounds.general_lower(v, 3, 3), "k", 1),
+    ("block_cyclic_bound", lambda v: bounds.block_cyclic_bound(v, 4, 5), "k", 1),
+    ("nonembeddable_width", lambda v: bounds.nonembeddable_width(v), "k", 1),
+    ("family_rows", lambda v: bounds.family_rows(3, v), "n", 1),
+    ("general_rows", lambda v: bounds.general_rows(3, v, 4), "m", 1),
+    ("cli_bounds_scan", lambda v: cli._cmd_bounds(Namespace(params=[3, v], scan=True)), "n", 1),
+    ("is_k_colorable_k", lambda v: coloring.is_k_colorable(K22, v), "k", 1),
+    ("is_k_colorable_budget", lambda v: coloring.is_k_colorable(K22, 2, v), "budget", 0),
+    ("export_cnf", lambda v: coloring.export_cnf(K22, v), "k", 1),
+    ("verify_positive_crossing", lambda v: coloring.verify_positive_crossing(v, 5, 3), "m", 1),
+    ("riskin_drawing", lambda v: riskin_drawing(3, v), "n", 1),
+    ("BalancedParams", lambda v: BalancedParams.for_pages(v), "k", 1),
+    ("block_cyclic", lambda v: block_cyclic(v, 3, 2), "m", 1),
+    ("blowup", lambda v: blowup(balanced_embedding(3), v), "n", 4),
+    ("blowup_crossing_count", lambda v: blowup_crossing_count(3, v), "n", 4),
+    ("necklace_classes", lambda v: enumeration.necklace_classes(4, v), "n", 1),
+    ("count_formula", lambda v: enumeration.count_formula(v, 5), "m", 1),
+    ("OracleLimits", lambda v: oracle.OracleLimits(max_pages=v), "max_pages", 0),
+    ("brute_force_run", lambda v: oracle.brute_force_run(v, 3, 2), "m", 1),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, "3", "below"])
+@pytest.mark.parametrize(
+    "call, name, low", [row[1:] for row in INTEGER_ARGUMENTS], ids=[row[0] for row in INTEGER_ARGUMENTS]
+)
+def test_integer_argument_rule(call, name, low, value):
+    """Every size, page count, budget and index argument takes one rule: a
+    non-integer, a bool among them, or an integer below the least raises
+    ValueError naming the argument."""
+    if value == "below":
+        value = low - 1
+        least = {1: "positive", 0: "non-negative"}.get(low, f"at least {low}")
+        message = f"{name} must be {least}, got {value}"
+    else:
+        message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
