@@ -237,24 +237,26 @@ def _crossing_chain(layout: CircularLayout) -> list[int]:
 
 
 def _exact_max_clique(g: ConflictGraph) -> list[int]:
+    """Branch and bound on the lowest candidate first, with an explicit stack
+    so that a clique of any size stays within Python's recursion limit."""
     best: list[int] = []
     adj = g.adj
-
-    def expand(stack: list[int], cand: int) -> None:
-        nonlocal best
-        if len(stack) > len(best):
-            best = stack.copy()
-        while cand:
-            if len(stack) + cand.bit_count() <= len(best):
-                return
+    clique: list[int] = []
+    cands = [(1 << g.vertex_count) - 1]  # cands[d]: untried extensions of clique[:d]
+    while cands:
+        cand = cands[-1]
+        if cand and len(clique) + cand.bit_count() > len(best):
             low = cand & -cand
             v = low.bit_length() - 1
-            stack.append(v)
-            expand(stack, cand & adj[v])
-            stack.pop()
-            cand ^= low
-
-    expand([], (1 << g.vertex_count) - 1)
+            cands[-1] = cand ^ low
+            clique.append(v)
+            if len(clique) > len(best):
+                best = clique.copy()
+            cands.append(cand & adj[v])
+        else:
+            cands.pop()
+            if clique:
+                clique.pop()
     return best
 
 

@@ -16,7 +16,10 @@ The balanced embedding is one closed form: with s = floor((k+1)/2) and
 t = k+1-s, the edge from black i to white j lies on page
 ((j + min(i, s)(s-1)) div s + max(i-s, 0)) mod k.  Correctness is not taken
 on faith: every balanced embedding is validated (zero crossings, balanced
-loads) and a violation raises ConstructionError.
+loads) and a violation raises ConstructionError.  The validation's count is
+the one its callers read: ``count_crossings`` keeps its report on the
+drawing, so counting the embedding again, or checking it as a ``blowup``
+base, returns that report without a second sweep.
 
 Each construction builds its layout from its black = 1 / white = 0 word
 through ``enumeration.layout_from_string``, which numbers the vertices

@@ -12,7 +12,11 @@ constructions can be phrased in either frame.
 
 A ``BookDrawing`` keeps its pages as an m x n integer array, entry [i, j]
 holding the page of the edge joining black i to white j; ``pages`` reads that
-array as a mapping from edges to pages.
+array as a mapping from edges to pages.  The drawing is immutable: its array
+wraps a read-only buffer whose flag cannot be set back, and its attributes
+cannot be reassigned, so the ``CrossingReport`` of the first
+``count_crossings`` call is kept on the drawing and every later call returns
+it.  Each drawing is counted once, however many callers ask.
 
 ``count_crossings`` sweeps the chords with one bisect each, less the pairs
 that end before they start, which one numpy search finds; ``edges_cross``
@@ -160,7 +164,7 @@ class PageMap(Mapping):
 
 
 def _page_array(pages: Mapping[Edge, int] | np.ndarray, layout: CircularLayout) -> np.ndarray:
-    """An int64 copy of ``pages`` shaped m x n, with every edge placed once.
+    """A C-ordered int64 copy of ``pages`` shaped m x n, with every edge placed once.
 
     A mapping's keys pass ``_check_edge``; its pages, and those of nested
     lists or a non-integer array, pass ``_is_index`` one by one.
@@ -187,7 +191,7 @@ def _page_array(pages: Mapping[Edge, int] | np.ndarray, layout: CircularLayout) 
             if not _is_index(p):
                 raise ValueError(f"pages must be integers, got {p!r}")
     try:
-        return given.astype(np.int64)
+        return given.astype(np.int64, order="C")
     except OverflowError:
         raise ValueError("page out of range: beyond 64-bit integers") from None
 
@@ -199,11 +203,18 @@ class BookDrawing:
     as nested lists or an integer array; an edge index or page that is not an
     integer raises ValueError.  The drawing keeps a read-only int64 copy as
     ``page_array``; ``pages`` reads it back as a mapping.
+
+    A drawing is immutable: setting ``page_array.flags.writeable`` back to
+    True raises ValueError and assigning an attribute raises AttributeError.
+    Its crossing report is computed once, by the first ``count_crossings``
+    call, and stored on it.
     """
 
-    __slots__ = ("layout", "k", "page_array")
+    __slots__ = ("layout", "k", "page_array", "_report")
 
     def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
+        import numpy as np
+
         _check_ints(**{"page count k": k})
         if k > 2**63 - 1:
             raise ValueError(f"page count k={k} out of range: beyond 64-bit integers")
@@ -211,10 +222,14 @@ class BookDrawing:
         outside = (array < 0) | (array >= k)
         if outside.any():
             raise ValueError(f"page {int(array.flat[outside.argmax()])} out of range for k={k}")
-        array.flags.writeable = False
-        self.layout = layout
-        self.k = k
-        self.page_array = array
+        # a view of a read-only buffer: unlike writeable = False, no one can
+        # set its flag back and make the stored report stale
+        frozen = np.frombuffer(memoryview(array).toreadonly(), dtype=np.int64).reshape(array.shape)
+        for name, value in (("layout", layout), ("k", k), ("page_array", frozen), ("_report", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a BookDrawing is immutable: cannot set {name!r}")
 
     @property
     def m(self) -> int:
@@ -330,8 +345,13 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     over a page, it counts the pairs in which one chord ends at or before
     the other starts: one search of each right end among the page's sorted
     left ends, in memory linear in the chord count.
+
+    The first call stores its report on the drawing, which cannot change;
+    every later call returns that same report.
     """
     _check_counted_pages(d.k)
+    if d._report is not None:
+        return d._report
     import numpy as np
 
     lo, hi = d.layout.chords()
@@ -364,7 +384,9 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
             ends.insert(i, b)
         per_page[p] = crossings
         start += count
-    return CrossingReport(sum(per_page), tuple(per_page))
+    report = CrossingReport(sum(per_page), tuple(per_page))
+    object.__setattr__(d, "_report", report)
+    return report
 
 
 def page_loads(d: BookDrawing, w: int) -> list[int]:

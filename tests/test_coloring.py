@@ -252,6 +252,14 @@ class TestClique:
             (g.adj[u] >> v) & 1 for u in clique for v in clique if u != v
         )
 
+    def test_clique_larger_than_the_recursion_limit(self):
+        # branch and bound used to recurse once per clique vertex and raise RecursionError
+        n = 1100
+        full = (1 << n) - 1
+        g = ConflictGraph(1, n, tuple(full ^ 1 << v for v in range(n)))
+        assert find_clique(g) == list(range(n))
+        assert is_k_colorable(g, 3).status == NOT_COLORABLE
+
     def test_exact_matches_greedy_floor(self):
         rng = random.Random(41)
         for _ in range(10):

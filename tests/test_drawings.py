@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -423,6 +424,63 @@ class TestBookDrawingContract:
         assert again == d
         with pytest.raises(ValueError):
             again.page_array[0, 0] = 0
+
+    def test_page_array_cannot_be_made_writeable(self):
+        # the flag used to flip back to True, which would leave a stored report stale
+        d = self.drawing()
+        before = d.page_array.tolist()
+        report = count_crossings(d)
+        with pytest.raises(ValueError):
+            d.page_array.flags.writeable = True
+        assert not d.page_array.flags.writeable
+        assert d.page_array.tolist() == before
+        assert count_crossings(d) == reference_count_crossings(d) == report
+
+    @pytest.mark.parametrize("name", ["layout", "k", "page_array", "_report"])
+    def test_attributes_cannot_be_reassigned(self, name):
+        d = self.drawing()
+        count_crossings(d)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(d, name, getattr(d, name))
+
+    def test_counted_once(self):
+        d = self.drawing()
+        assert count_crossings(d) is count_crossings(d)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda a: np.asfortranarray(a),
+            lambda a: a.astype(np.int32),
+            lambda a: a.tolist(),
+            lambda a: {(i, j): p for i, row in enumerate(a.tolist()) for j, p in enumerate(row)},
+        ],
+        ids=["fortran_int64", "int32", "nested_lists", "mapping"],
+    )
+    def test_every_input_gives_a_c_ordered_read_only_array(self, convert):
+        d = random_drawing(random.Random(43), 6, 9, 3)
+        again = BookDrawing(d.layout, d.k, convert(d.page_array.copy()))
+        array = again.page_array
+        assert array.dtype == np.int64 and array.flags.c_contiguous and not array.flags.writeable
+        assert again == d
+        assert count_crossings(again) == reference_count_crossings(d)
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [
+            lambda d: pickle.loads(pickle.dumps(d)),
+            copy.copy,
+            lambda d: from_json(to_json(d)),
+            lambda d: permute_pages(d, [2, 0, 1]),
+        ],
+        ids=["pickle", "copy", "json", "permute_pages"],
+    )
+    def test_rebuilt_drawings_count_afresh(self, rebuild):
+        d = random_drawing(random.Random(47), 6, 9, 3)
+        count_crossings(d)
+        again = rebuild(d)
+        assert count_crossings(again) == reference_count_crossings(again)
+        assert count_crossings(again).total == count_crossings(d).total
 
     def test_inequality(self):
         d = self.drawing()
