@@ -12,8 +12,9 @@ Subcommands::
     render FILE -o OUT.svg
 
 Exit codes: 0 success / proven, 1 refuted, 2 inconclusive (budget),
-64 usage error, 65 malformed or unreadable input file or unwritable output,
-141 stdout closed early (as by ``| head``; 128 + SIGPIPE).
+64 usage error (an input too large for memory among them), 65 malformed or
+unreadable input file or unwritable output, 141 stdout closed early (as by
+``| head``; 128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
         return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # a size whose tables cannot be allocated
+        print("error: not enough memory for this input", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,8 +14,11 @@ their reversal (Sawada 2001).  A necklace with both colours starts with its
 longest run of zeros and ends in '1', so it is a word of m blocks, each a
 run of zeros and the '1' after it; the walk chooses one block per node.  The
 reversal test compares only the rotations of the reversal that start with
-the first block, since no other rotation can be smaller.  The work and
-memory grow with the number of classes, not with 2**(m+n), and no word
+the first block, since no other rotation can be smaller.  The one that
+starts at the first block itself bounds the last two blocks, so the walk
+never reaches most of the necklaces it rejects; the test still runs on each
+leaf, as it alone decides the other rotations and the orbit size.  The work
+and memory grow with the number of classes, not with 2**(m+n), and no word
 length is capped.  ``canonical_form`` (brute force per string) and
 ``count_formula`` (Burnside's lemma, one fixed-point count per kind of group
 element) stay as independent references.
@@ -89,6 +92,17 @@ def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
     also has period p); they never overlap, because ``head`` ends in its
     only '1'.  s is a bracelet iff no anchored rotation is less than s, and
     the reversal is a rotation of s iff one equals s.
+
+    The anchor at the first block is the reversal read from there, with
+    blocks a1, am, ..., a2; s is no greater than it only if (a2, ..., am)
+    is no less than its reversal (am, ..., a2), comparing block sizes.  So
+    the node that chooses a_(m-1), whose last block am = left - a_(m-1) is
+    forced, starts its candidates at left - a2 (am <= a2), and one higher
+    when a3 < left - a2 (am = a2 needs a_(m-1) <= a3).  Both cuts drop the
+    low end of the ascending range only, so the order, ``top`` and the
+    periods stay as they were.  The first cut needs a2 decided before that
+    node (m > 3), the second a3 (m > 4); for m = 3 the bound is left out.
+    A necklace that passes this one anchor still takes the full test.
     """
     _check_ints(m=m, n=n)
     size = m + n
@@ -112,7 +126,14 @@ def _bracelets(m: int, n: int) -> Iterator[NecklaceClass]:
             # pushed in ascending block size, so the largest, the least word,
             # comes first; a range() over max() and min() timed 10% slower
             prev = blocks[t - p]
-            b = left - (m - 1 - t) * blocks[0]
+            if t == m - 2 and t > 1:
+                # the reversal read from the first block: am <= a2, and
+                # a_(m-1) <= a3 when am = a2 (a3 known once m > 4)
+                b = left - blocks[1]
+                if t > 2 and blocks[2] < b:
+                    b += 1
+            else:
+                b = left - (m - 1 - t) * blocks[0]
             if b < 0:
                 b = 0
             top = prev if prev < left else left

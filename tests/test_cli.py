@@ -644,6 +644,25 @@ class TestErrors:
         assert err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "callee, argv",
+        [
+            ("_bracelets", ["enumerate", "99999999999", "1"]),
+            ("verify_positive_crossing", ["verify-pagenumber", "99999999999", "1", "1", "--jobs", "1"]),
+        ],
+    )
+    def test_out_of_memory_exit_64(self, capsys, monkeypatch, callee, argv):
+        # these sizes used to exit 1, the refuted code, with a MemoryError
+        # traceback; the callee raises here in place of allocating
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"bookcross.cli.{callee}", no_memory)
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert err == "error: not enough memory for this input\n"
+
     def test_unknown_command_exit_64(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64
 

@@ -150,6 +150,14 @@ class TestEnumerateLayouts:
         assert count == count_formula(2, 3000) == 1501
         assert peak < 2**20
 
+    def test_ascending_at_scale(self):
+        # 21,879 classes, walked with the reversal bound on the last two
+        # blocks; their orbits cover every one of the C(25, 8) words once
+        classes = list(_bracelets(8, 17))
+        assert len(classes) == count_formula(8, 17) == 21879
+        assert all(a.canonical < b.canonical for a, b in zip(classes, classes[1:]))
+        assert sum(c.orbit_size for c in classes) == math.comb(25, 8) == 1081575
+
     def test_long_skewed_words(self):
         assert necklace_classes(1, 3000) == [NecklaceClass("0" * 3000 + "1", 3001)]
         assert necklace_classes(3000, 1) == [NecklaceClass("0" + "1" * 3000, 3001)]
