@@ -284,6 +284,8 @@ def _check_ints(low: int = 1, **values: object) -> None:
     """Raise ValueError, naming the argument, at the first value that is not
     an integer (``_is_index``) or is below ``low``."""
     for name, value in values.items():
+        if type(value) is int and value >= low:
+            continue
         if not _is_index(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < low:
@@ -372,13 +374,12 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     # before it ends; the rest of its page start at or after its right end
     started = np.add.reduceat(np.searchsorted(base + lo, base + hi), firsts)
     before = (sizes * (firsts + sizes) - started).tolist()
-    his = hi.tolist()
     per_page = [0] * d.k
     start = 0
     for p, count, term in zip(occupied.tolist(), sizes.tolist(), before):
         ends: list[int] = []
         crossings = -term
-        for b in his[start:start + count]:
+        for b in hi[start:start + count].tolist():
             i = bisect_left(ends, b)
             crossings += i
             ends.insert(i, b)

@@ -198,25 +198,43 @@ def enumerate_layouts(m: int, n: int) -> Iterator[CircularLayout]:
         yield layout_from_string(cls.canonical)
 
 
+def _rotation_fixed_points(m: int, n: int) -> int:
+    """Black/white orderings fixed by each rotation, summed over all L = m + n.
+
+    The rotation by t has g = gcd(t, L) cycles of length e = L/g, and fixes
+    C(g, m/e) orderings if e divides m, none otherwise.  The phi(e) rotations
+    with cycles of length e fix as many, so the sum runs over the divisors e
+    of gcd(m, n), found with phi(e) by trial division in O(sqrt(gcd(m, n)))
+    steps.
+    """
+    divisors = [(1, 1)]  # (e, phi(e)) for the divisors e of gcd(m, n) found so far
+    rest, p = gcd(m, n), 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # no factor up to its square root: rest is prime
+        q = 1  # the power of p below the one being added
+        while rest % p == 0:
+            rest //= p
+            divisors += [(e * q * p, phi * q * (p - 1)) for e, phi in divisors if e % p]
+            q *= p
+        p += 1
+    return sum(phi * comb((m + n) // e, m // e) for e, phi in divisors)
+
+
 def count_formula(m: int, n: int) -> int:
     """Number of distinct circular drawings of K_{m,n}, by Burnside's lemma:
     the mean, over the 2L elements of D_L (L = m + n), of the black/white
     orderings each one fixes, those with every cycle of it in one colour.
 
-    The rotation by t, 0 <= t < L, has g = gcd(t, L) cycles of length L/g:
-    it fixes C(g, m*g/L) orderings if L/g divides m, and none otherwise.  A
-    reflection with f fixed positions and (L - f)/2 swapped pairs fixes the
-    sum of C(f, b) * C((L - f)/2, (m - b)/2) over b <= min(f, m), m - b
-    even, b being the blacks it fixes.  For odd L all L reflections have
-    f = 1; for even L half have f = 2 and half f = 0.
+    The rotations fix ``_rotation_fixed_points(m, n)`` in all.  A reflection
+    with f fixed positions and (L - f)/2 swapped pairs fixes the sum of
+    C(f, b) * C((L - f)/2, (m - b)/2) over b <= min(f, m), m - b even, b
+    being the blacks it fixes.  For odd L all L reflections have f = 1; for
+    even L half have f = 2 and half f = 0.
     """
     _check_ints(m=m, n=n)
     size = m + n
-    rotations = 0
-    for t in range(size):
-        g = gcd(t, size)
-        if m % (size // g) == 0:
-            rotations += comb(g, m * g // size)
+    rotations = _rotation_fixed_points(m, n)
     # (how many reflections, the f positions each of them fixes)
     kinds = [(size, 1)] if size % 2 else [(size // 2, 2), (size // 2, 0)]
     reflections = sum(

@@ -94,18 +94,29 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
     among unplaced edges are not counted at all.  The bound therefore never
     exceeds the best completion and the search stays exact.  Empty pages cost
     0 and stay in the minimum, so page symmetry breaking does not affect it.
+
+    ``low[s]`` stays equal to ``min(cost[s])``.  Placing an edge on page p
+    raises ``cost[s][p]`` by one for each later edge s it crosses, and the
+    minimum rises, by one, only if page p alone held it: one ``min`` then
+    decides.  Undoing lowers ``cost[s][p]``, and the minimum falls back
+    exactly when that entry drops below ``low[s]``.
     """
-    cross_of = conflict_graph(layout).adj  # vertex i*n + j is edge (i, j)
+    graph = conflict_graph(layout)
+    cross_of = graph.adj  # vertex i*n + j is edge (i, j)
     nedges = len(cross_of)
     order = sorted(range(nedges), key=lambda a: (-cross_of[a].bit_count(), a))
+    rank = sorted(range(nedges), key=order.__getitem__)  # rank[order[t]] == t
     # edge t of the search is vertex order[t]; later[t] lists the edges after
     # t in search order that cross it, the only ones whose cost t can change
-    later = [
-        [s for s in range(t + 1, nedges) if cross_of[order[t]] >> order[s] & 1]
-        for t in range(nedges)
-    ]
+    later = [[] for _ in range(nedges)]
+    for u, v in graph.edges():
+        a, b = rank[u], rank[v]
+        if a > b:
+            a, b = b, a
+        later[a].append(b)
     cost = [[0] * k for _ in range(nedges)]  # cost[t][p]: placed edges on page p crossing t
-    rest = 0  # sum of min(cost[t]) over the edges t not yet placed
+    low = [0] * nedges  # low[t] == min(cost[t])
+    rest = 0  # sum of low[t] over the edges t not yet placed
     nodes = 0
 
     def walk(t: int, used: int, partial: int) -> None:
@@ -116,8 +127,9 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
             best = partial
             return
         here = cost[t]
+        crossed = later[t]
         entry = rest
-        others = rest - min(here)
+        others = rest - low[t]
         for p in range(min(used + 1, k)):
             nodes += 1
             if nodes > budget:
@@ -125,14 +137,20 @@ def _layout_minimum(layout: CircularLayout, k: int, best: int, budget: int) -> t
             add = here[p]
             if partial + add + others < best:
                 rest = others
-                for s in later[t]:
+                for s in crossed:
                     c = cost[s]
-                    low = min(c)
-                    c[p] += 1
-                    rest += min(c) - low
+                    was = c[p]
+                    c[p] = was + 1
+                    if was == low[s] and min(c) > was:
+                        low[s] = was + 1
+                        rest += 1
                 walk(t + 1, max(used, p + 1), partial + add)
-                for s in later[t]:
-                    cost[s][p] -= 1
+                for s in crossed:
+                    c = cost[s]
+                    now = c[p] - 1
+                    c[p] = now
+                    if now < low[s]:
+                        low[s] = now
                 rest = entry
         return
 

@@ -78,6 +78,15 @@ class TestCountDrawings:
         code, out, _ = run(capsys, "count-drawings", "4", "5")
         assert code == 0 and out.strip() == "10"
 
+    def test_long_word_counts_at_once(self):
+        # one gcd per rotation, 10^11 of them, took hours
+        with cli_process("count-drawings", "99999999999", "1") as proc:
+            try:
+                out, err = proc.communicate(timeout=20)
+            finally:
+                proc.kill()
+        assert (proc.returncode, out, err) == (0, "1\n", "")
+
 
 class TestEnumerate:
     def test_json_emit(self, capsys):

@@ -13,6 +13,7 @@ from bookcross.cli import main
 from bookcross.enumeration import (
     NecklaceClass,
     _bracelets,
+    _rotation_fixed_points,
     canonical_form,
     count_formula,
     enumerate_layouts,
@@ -57,6 +58,14 @@ class TestCountFormula:
         for m in range(1, 101):
             for n in range(1, 101):
                 assert count_formula(m, n) == reference_count_formula(m, n), (m, n)
+
+    def test_rotation_sum_over_divisors(self):
+        # one term per cycle length e, weighted by phi(e), against one per rotation
+        for size in range(2, 61):
+            for m in range(1, size):
+                cycles = [math.gcd(t, size) for t in range(size)]
+                per_rotation = sum(math.comb(g, m * g // size) for g in cycles if m % (size // g) == 0)
+                assert _rotation_fixed_points(m, size - m) == per_rotation, (m, size - m)
 
     def test_symmetric(self):
         for m in range(1, 8):

@@ -18,6 +18,8 @@ from conftest import reference_layout_minimum
 # the oracle instances of perfbench's `drawings`; (5, 6) and (4, 8) need 11+ vertices
 BENCH_LIMITS = OracleLimits(max_vertices=12)
 BENCH_INSTANCES = [(3, 3, 2), (5, 5, 2), (4, 6, 2), (3, 7, 2), (5, 6, 2), (4, 5, 3), (4, 7, 3), (4, 8, 3)]
+# (value, nodes) of each; a node count moves with any change to the search tree
+BENCH_RUNS = dict(zip(BENCH_INSTANCES, [(1, 11), (16, 7864), (12, 2616), (9, 1386), (24, 28054), (1, 176), (3, 2335), (4, 5796)]))
 
 
 class TestBruteForceNu:
@@ -72,11 +74,26 @@ class TestLookAheadBound:
                         got, _ = oracle._layout_minimum(layout, k, m * m * n * n, 10**9)
                         assert got == expected, (cls.canonical, k)
 
+    def test_layout_minima_match_reference_under_incumbent(self):
+        # from the incumbent the bound prunes, so low[] is raised and lowered
+        # back through cut branches as well as full ones
+        for size in range(2, 10):
+            for m in range(1, size):
+                n = size - m
+                for k in (1, 2, 3):
+                    best = oracle._construction_incumbent(m, n, k)
+                    for cls in necklace_classes(m, n):
+                        layout = layout_from_string(cls.canonical)
+                        expected, _ = reference_layout_minimum(layout, k, best, 10**9)
+                        got, _ = oracle._layout_minimum(layout, k, best, 10**9)
+                        assert got == expected, (cls.canonical, k)
+
     @pytest.mark.parametrize("m, n, k", BENCH_INSTANCES)
     def test_values_match_reference_run(self, monkeypatch, m, n, k):
-        value = brute_force_run(m, n, k, BENCH_LIMITS).value
+        run = brute_force_run(m, n, k, BENCH_LIMITS)
+        assert (run.value, run.nodes) == BENCH_RUNS[m, n, k]
         monkeypatch.setattr(oracle, "_layout_minimum", reference_layout_minimum)
-        assert value == brute_force_run(m, n, k, BENCH_LIMITS).value
+        assert run.value == brute_force_run(m, n, k, BENCH_LIMITS).value
 
     @pytest.mark.parametrize("m, n, k, built, value", [(4, 6, 1, 47, 46), (5, 5, 3, 4, 3)])
     def test_walk_beats_construction(self, m, n, k, built, value):
