@@ -25,6 +25,7 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
+from decimal import Decimal
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -147,7 +148,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_count_drawings(args) -> int:
-    print(count_formula(args.m, args.n))
+    print(Decimal(count_formula(args.m, args.n)))  # exact; str() of an int refuses over 4300 digits
     return EXIT_OK
 
 

@@ -327,6 +327,7 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     clique = find_clique(g)
     if len(clique) > k:
         return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))
+    k = min(k, nvert)  # no search uses more colours than there are vertices
 
     adj = g.adj
     by_degree: dict[int, int] = {}  # degree -> its vertices

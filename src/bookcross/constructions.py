@@ -38,7 +38,7 @@ import warnings
 from dataclasses import dataclass
 
 from .bounds import block_cyclic_bound, riskin_value, turan_lower
-from .drawings import BookDrawing, CircularLayout, _check_ints, is_balanced_embedding
+from .drawings import BookDrawing, CircularLayout, _check_ints, _check_page_count, is_balanced_embedding
 from .enumeration import layout_from_string
 
 
@@ -192,6 +192,7 @@ def block_cyclic(m: int, n: int, k: int) -> BookDrawing:
     import numpy as np
 
     _check_ints(m=m, n=n, k=k)
+    _check_page_count(k)  # before the loops over the k groups
     p, r = divmod(m, k)
     q, s = divmod(n, k)
     bsizes = [p + 1 if g >= k - r else p for g in range(k)]

@@ -16,7 +16,8 @@ array as a mapping from edges to pages.  The drawing is immutable: its array
 wraps a read-only buffer whose flag cannot be set back, and its attributes
 cannot be reassigned, so the ``CrossingReport`` of the first
 ``count_crossings`` call is kept on the drawing and every later call returns
-it.  Each drawing is counted once, however many callers ask.
+it.  Each drawing is counted once, however many callers ask, and has at
+most 2**20 pages, however it is made.
 
 ``count_crossings`` sweeps the chords with one bisect each, less the pairs
 that end before they start, which one numpy search finds; ``edges_cross``
@@ -197,7 +198,7 @@ def _page_array(pages: Mapping[Edge, int] | np.ndarray, layout: CircularLayout) 
 
 
 class BookDrawing:
-    """A CircularLayout plus a page for every edge of K_{m,n}.
+    """A CircularLayout plus one of k <= 2**20 pages for every edge of K_{m,n}.
 
     ``pages`` maps every edge (i, j) to its page, or holds m rows of n pages
     as nested lists or an integer array; an edge index or page that is not an
@@ -215,9 +216,7 @@ class BookDrawing:
     def __init__(self, layout: CircularLayout, k: int, pages: Mapping[Edge, int] | np.ndarray):
         import numpy as np
 
-        _check_ints(**{"page count k": k})
-        if k > 2**63 - 1:
-            raise ValueError(f"page count k={k} out of range: beyond 64-bit integers")
+        _check_page_count(k)
         array = _page_array(pages, layout)
         outside = (array < 0) | (array >= k)
         if outside.any():
@@ -293,6 +292,17 @@ def _check_ints(low: int = 1, **values: object) -> None:
             raise ValueError(f"{name} must be {least}, got {value!r}")
 
 
+# Counting, loading and rendering a drawing take time and memory per page;
+# BookDrawing, and a construction that loops over pages first, check k here.
+_MAX_PAGES = 2**20
+
+
+def _check_page_count(k: int) -> None:
+    _check_ints(**{"page count k": k})
+    if k > _MAX_PAGES:
+        raise ValueError(f"page count k={k} above the {_MAX_PAGES} pages a drawing may have")
+
+
 def _check_edge(layout: CircularLayout, e: Edge) -> None:
     i, j = e
     if not (_is_index(i) and _is_index(j)):
@@ -319,17 +329,6 @@ def edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
     return (a < c < b) != (a < d < b)
 
 
-# Counting a drawing takes time and memory per page, so count_crossings and
-# page_loads (and render_svg, through count_crossings) refuse a k above
-# _MAX_PAGES before they allocate anything; from_json takes the same cap.
-_MAX_PAGES = 2**20
-
-
-def _check_counted_pages(k: int) -> None:
-    if k > _MAX_PAGES:
-        raise ValueError(f"page count k={k} above the {_MAX_PAGES} pages a drawing can be counted on")
-
-
 def count_crossings(d: BookDrawing) -> CrossingReport:
     """Exact per-page and total crossing counts of a book drawing.
 
@@ -351,7 +350,6 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     The first call stores its report on the drawing, which cannot change;
     every later call returns that same report.
     """
-    _check_counted_pages(d.k)
     if d._report is not None:
         return d._report
     import numpy as np
@@ -395,7 +393,6 @@ def page_loads(d: BookDrawing, w: int) -> list[int]:
 
     Entries sum to m, the degree of a white vertex.
     """
-    _check_counted_pages(d.k)
     import numpy as np
 
     _check_ints(0, **{"white vertex": w})
@@ -429,8 +426,7 @@ def is_balanced_embedding(d: BookDrawing) -> bool:
 # ``order`` is the clockwise spine order; each edge triple is
 # (black index, white index, page), all JSON integers.  Loaders reject other
 # types, duplicate edges, missing edges, and out-of-range vertices or pages.
-# A file's k is at most _MAX_PAGES, so a larger k (which fits 64 bits) is
-# rejected as malformed before any page array is built.
+# A file's k, like any drawing's, is at most _MAX_PAGES; a larger one is malformed.
 # ---------------------------------------------------------------------------
 
 
@@ -459,8 +455,6 @@ def from_json(text: str) -> BookDrawing:
         raise DrawingFormatError(f"missing field: {exc}") from exc
     if not all(map(_is_index, (m, n, k))):
         raise DrawingFormatError(f"m, n and k must be integers, got {(m, n, k)!r}")
-    if _MAX_PAGES < k < 2**63:  # from 2**63 on, BookDrawing reports k beyond 64 bits
-        raise DrawingFormatError(f"page count k={k} above the {_MAX_PAGES} pages a drawing file may hold")
     if not isinstance(order, list) or not isinstance(edges, list):
         raise DrawingFormatError("'order' and 'edges' must be arrays")
     seq = tuple(parse_vertex(name) for name in order)

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from bookcross.cli import _build_parser, main
 from bookcross.drawings import count_crossings, from_json
-from bookcross.enumeration import canonical_form
+from bookcross.enumeration import canonical_form, count_formula
 
 from conftest import pairwise_crossing_total
 
@@ -86,6 +87,12 @@ class TestCountDrawings:
             finally:
                 proc.kill()
         assert (proc.returncode, out, err) == (0, "1\n", "")
+
+    def test_count_beyond_str_digit_limit(self, capsys):
+        # 6,014 digits: str() of the int raised "Exceeds the limit (4300 digits)"
+        code, out, err = run(capsys, "count-drawings", "10000", "10000")
+        assert (code, err) == (0, "")
+        assert Decimal(out) == count_formula(10000, 10000)
 
 
 class TestEnumerate:
@@ -601,8 +608,20 @@ class TestErrors:
         argv = [command, str(bad)] + (["-o", str(tmp_path / "out.svg")] if command == "render" else [])
         code, out, err = run(capsys, *argv)
         assert code == 65
-        assert err.startswith("malformed drawing file:") and "64-bit" in err
+        assert err == f"malformed drawing file: page count k={10**20} above the 1048576 pages a drawing may have\n"
         assert out == "" and not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "block-cyclic", "2", "2", "1000000000000"], ["verify-pagenumber", "--jobs", "1", "2", "3", "10000000"]],
+        ids=["construct", "verify"],
+    )
+    def test_page_count_above_cap_exit_64(self, capsys, argv):
+        # construct looped over all 10^12 groups first; verify built per-colour
+        # state for 10^7 colours, then printed a witness that crossings refused
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err == f"error: page count k={argv[-1]} above the 1048576 pages a drawing may have\n"
 
     @pytest.mark.parametrize("command", ["crossings", "render"])
     def test_page_count_above_file_cap_exit_65(self, capsys, tmp_path, command):

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -612,6 +613,21 @@ class TestSaturationLevels:
         # pre-colored from the k-clique alone, the last vertex sees all k colors at the root
         monkeypatch.setattr(coloring, "find_clique", lambda g: list(range(k)))
         assert outcome(is_k_colorable(g, k)) == (NOT_COLORABLE, 0, None)
+
+    def test_colours_beyond_the_vertex_count_change_nothing(self):
+        # the per-colour state had k entries, copied at every node: 80 MB a list at k = 10**7
+        rng = random.Random(7200)
+        graphs = [conflict_graph(lay) for lay in enumerate_layouts(3, 4)]
+        graphs += [random_graph(rng, rng.randint(1, 12), 0.5) for _ in range(10)]
+        for g in graphs:
+            tracemalloc.start()
+            try:
+                got = is_k_colorable(g, 10**7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert outcome(got) == outcome(is_k_colorable(g, g.vertex_count)), g.adj
+            assert peak < 2**20
 
     def test_child_with_a_wipeout_is_counted_not_entered(self):
         # the reference enters one call per node and the root; a call of its

@@ -553,19 +553,42 @@ class TestBookDrawingContract:
 
     def test_page_count_beyond_64_bits(self):
         d = self.drawing()
-        assert BookDrawing(d.layout, 2**63 - 1, d.page_array).k == 2**63 - 1
-        with pytest.raises(ValueError, match="beyond 64-bit integers"):
-            BookDrawing(d.layout, 2**63, d.page_array)
+        for k in (2**63 - 1, 2**63):
+            with pytest.raises(ValueError, match=f"^page count k={k} above the 1048576 pages a drawing may have$"):
+                BookDrawing(d.layout, k, d.page_array)
 
     @pytest.mark.parametrize("k", [2**40, 2**63 - 1])
     @pytest.mark.parametrize(
         "count", [count_crossings, lambda d: page_loads(d, 0), render_svg], ids=["crossings", "loads", "svg"]
     )
     def test_huge_page_count_not_counted(self, k, count):
-        # both used to fail inside numpy: an 8 TiB allocation, "array is too big"
+        # counting once failed inside numpy (an 8 TiB allocation, "array is
+        # too big"); now no such drawing can be built to be counted
         d = self.drawing()
         with pytest.raises(ValueError, match=f"page count k={k} above the 1048576 pages"):
             count(BookDrawing(d.layout, k, d.page_array))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda k: BookDrawing(layout_from_string("10"), k, [[k - 1]]),
+            lambda k: block_cyclic(1, 1, k),
+            lambda k: coloring.coloring_to_drawing(layout_from_string("10"), [k - 1], k),
+            lambda k: from_json('{"m": 1, "n": 1, "k": %d, "order": ["b0", "w0"], "edges": [[0, 0, %d]]}' % (k, k - 1)),
+        ],
+        ids=["BookDrawing", "block_cyclic", "coloring_to_drawing", "from_json"],
+    )
+    def test_one_page_count_rule(self, build):
+        # however a drawing is made, it has at most 2**20 pages and reads back
+        d = build(2**20)
+        assert d.k == 2**20 and from_json(to_json(d)) == d
+        with pytest.raises(ValueError, match="^page count k=1048577 above the 1048576 pages a drawing may have$"):
+            build(2**20 + 1)
+
+    def test_block_cyclic_checks_page_count_first(self):
+        # refused before the loop over the k groups, so at once
+        with pytest.raises(ValueError, match="^page count k=1000000000000 above the 1048576 pages"):
+            block_cyclic(2, 2, 10**12)
 
 
 class TestJson:
@@ -641,10 +664,9 @@ class TestJson:
     def test_page_count_cap(self):
         doc = '{"m": 1, "n": 1, "k": %d, "order": ["b0", "w0"], "edges": [[0, 0, 0]]}'
         assert from_json(doc % 2**20).k == 2**20
-        with pytest.raises(DrawingFormatError, match="above the 1048576 pages"):
-            from_json(doc % (2**20 + 1))
-        with pytest.raises(DrawingFormatError, match="64-bit"):
-            from_json(doc % 2**63)
+        for k in (2**20 + 1, 2**63):
+            with pytest.raises(DrawingFormatError, match=f"^page count k={k} above the 1048576 pages a drawing may have$"):
+                from_json(doc % k)
 
     def test_rejects_edge_out_of_range(self):
         doc = to_json(block_cyclic(2, 2, 1)).replace("[1, 1, 0]", "[2, 0, 0]")
