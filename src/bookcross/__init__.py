@@ -4,134 +4,103 @@ Construct drawing families with known crossing counts, enumerate circular
 layouts up to symmetry, certify pagenumber facts by exact graph coloring,
 evaluate closed-form bounds, and cross-check everything against a brute-force
 oracle at desk scale.
+
+Importing the package loads none of its modules.  Each public name imports
+its module on first access (PEP 562) and is then kept as a package global,
+so later lookups cost what a plain attribute does.  The value is read from
+the module at that first access, so a name rebound in its module before
+then (as ``perfbench/tracing.py`` does) is the one the package hands out.
 """
 
-from .bounds import (
-    BoundQuery,
-    BoundValue,
-    asymptotic_bounds,
-    block_cyclic_bound,
-    consistency_scan,
-    exact_crossing_number,
-    general_lower,
-    multiplanar_lower_even,
-    nonembeddable_width,
-    riskin_value,
-    turan_lower,
-    zarankiewicz,
-)
-from .coloring import (
-    ColoringResult,
-    ConflictGraph,
-    LayoutLog,
-    PipelineResult,
-    clique_lower_bound,
-    coloring_to_drawing,
-    conflict_graph,
-    export_cnf,
-    is_k_colorable,
-    solve_dimacs,
-    verify_positive_crossing,
-)
-from .constructions import (
-    BalancedParams,
-    ConstructionError,
-    balanced_embedding,
-    balanced_parameters,
-    block_cyclic,
-    block_cyclic_crossing_count,
-    blowup,
-    blowup_crossing_count,
-    riskin_crossing_count,
-    riskin_drawing,
-)
-from .drawings import (
-    BookDrawing,
-    CircularLayout,
-    CrossingReport,
-    DrawingFormatError,
-    count_crossings,
-    edges_cross,
-    from_json,
-    is_balanced_embedding,
-    page_loads,
-    to_json,
-)
-from .enumeration import (
-    NecklaceClass,
-    canonical_form,
-    count_formula,
-    enumerate_layouts,
-    layout_from_string,
-    necklace_classes,
-)
-from .oracle import (
-    OracleLimitError,
-    OracleLimits,
-    OracleRun,
-    brute_force_nu,
-    brute_force_pagenumber,
-    brute_force_run,
-)
-from .render import render_svg
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalancedParams",
-    "BookDrawing",
-    "BoundQuery",
-    "BoundValue",
-    "CircularLayout",
-    "ColoringResult",
-    "ConflictGraph",
-    "ConstructionError",
-    "CrossingReport",
-    "DrawingFormatError",
-    "LayoutLog",
-    "NecklaceClass",
-    "OracleLimitError",
-    "OracleLimits",
-    "OracleRun",
-    "PipelineResult",
-    "asymptotic_bounds",
-    "balanced_embedding",
-    "balanced_parameters",
-    "block_cyclic",
-    "block_cyclic_bound",
-    "block_cyclic_crossing_count",
-    "blowup",
-    "blowup_crossing_count",
-    "brute_force_nu",
-    "brute_force_pagenumber",
-    "brute_force_run",
-    "canonical_form",
-    "clique_lower_bound",
-    "coloring_to_drawing",
-    "conflict_graph",
-    "consistency_scan",
-    "count_crossings",
-    "count_formula",
-    "edges_cross",
-    "enumerate_layouts",
-    "exact_crossing_number",
-    "export_cnf",
-    "from_json",
-    "general_lower",
-    "is_balanced_embedding",
-    "is_k_colorable",
-    "layout_from_string",
-    "multiplanar_lower_even",
-    "necklace_classes",
-    "nonembeddable_width",
-    "page_loads",
-    "render_svg",
-    "riskin_crossing_count",
-    "riskin_drawing",
-    "riskin_value",
-    "solve_dimacs",
-    "to_json",
-    "turan_lower",
-    "verify_positive_crossing",
-    "zarankiewicz",
-]
+# module -> the public names it defines; the only list of them
+_EXPORTS = {
+    "bounds": (
+        "BoundQuery",
+        "BoundValue",
+        "asymptotic_bounds",
+        "block_cyclic_bound",
+        "consistency_scan",
+        "exact_crossing_number",
+        "general_lower",
+        "multiplanar_lower_even",
+        "nonembeddable_width",
+        "riskin_value",
+        "turan_lower",
+        "zarankiewicz",
+    ),
+    "coloring": (
+        "ColoringResult",
+        "ConflictGraph",
+        "LayoutLog",
+        "PipelineResult",
+        "clique_lower_bound",
+        "coloring_to_drawing",
+        "conflict_graph",
+        "export_cnf",
+        "is_k_colorable",
+        "solve_dimacs",
+        "verify_positive_crossing",
+    ),
+    "constructions": (
+        "BalancedParams",
+        "ConstructionError",
+        "balanced_embedding",
+        "balanced_parameters",
+        "block_cyclic",
+        "block_cyclic_crossing_count",
+        "blowup",
+        "blowup_crossing_count",
+        "riskin_crossing_count",
+        "riskin_drawing",
+    ),
+    "drawings": (
+        "BookDrawing",
+        "CircularLayout",
+        "CrossingReport",
+        "DrawingFormatError",
+        "count_crossings",
+        "edges_cross",
+        "from_json",
+        "is_balanced_embedding",
+        "page_loads",
+        "to_json",
+    ),
+    "enumeration": (
+        "NecklaceClass",
+        "canonical_form",
+        "count_formula",
+        "enumerate_layouts",
+        "layout_from_string",
+        "necklace_classes",
+    ),
+    "oracle": (
+        "OracleLimitError",
+        "OracleLimits",
+        "OracleRun",
+        "brute_force_nu",
+        "brute_force_pagenumber",
+        "brute_force_run",
+    ),
+    "render": ("render_svg",),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,10 +25,8 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
-from decimal import Decimal
 from pathlib import Path
 
-from . import bounds as bounds_mod
 from .coloring import (
     BUDGET_EXCEEDED,
     COLORABLE,
@@ -41,11 +39,8 @@ from .coloring import (
     export_cnf,
     verify_positive_crossing,
 )
-from .constructions import balanced_embedding, block_cyclic, blowup, riskin_drawing
 from .drawings import DrawingFormatError, _check_ints, _is_index, count_crossings, from_json, to_json
 from .enumeration import _bracelets, canonical_form, count_formula, layout_from_string
-from .oracle import DEFAULT_LIMITS, OracleLimits, OracleLimitError, brute_force_run
-from .render import render_svg
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -124,9 +119,9 @@ def _build_parser() -> _Parser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_LIMITS.max_vertices)
-    p.add_argument("--max-pages", type=int, default=DEFAULT_LIMITS.max_pages)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_LIMITS.node_budget)
+    # a limit not given stays out of the namespace, so OracleLimits supplies its default
+    for flag in ("--max-vertices", "--max-pages", "--node-budget"):
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("render", help="render a drawing JSON file to SVG")
     p.add_argument("file", help="path or '-' for stdin")
@@ -148,6 +143,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_count_drawings(args) -> int:
+    from decimal import Decimal
+
     print(Decimal(count_formula(args.m, args.n)))  # exact; str() of an int refuses over 4300 digits
     return EXIT_OK
 
@@ -163,6 +160,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .constructions import balanced_embedding, block_cyclic, blowup, riskin_drawing
+
     uneven = False
     if args.family == "balanced":
         drawing = balanced_embedding(args.k)
@@ -265,6 +264,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import consistency_scan, family_rows, general_rows
+
     params = args.params
     if len(params) == 2:
         k, n = params
@@ -279,7 +280,7 @@ def _cmd_bounds(args) -> int:
         return EXIT_USAGE
     if args.scan:
         _check_ints(n=n)
-        report = bounds_mod.consistency_scan([k], range(1, n + 1))
+        report = consistency_scan([k], range(1, n + 1))
         print(
             json.dumps(
                 {
@@ -289,19 +290,29 @@ def _cmd_bounds(args) -> int:
             )
         )
         return EXIT_OK
-    rows = bounds_mod.family_rows(k, n) if m == k + 1 else bounds_mod.general_rows(k, m, n)
+    rows = family_rows(k, n) if m == k + 1 else general_rows(k, m, n)
     print(json.dumps([row.to_dict() for row in rows]))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    limits = OracleLimits(args.max_vertices, args.max_pages, args.node_budget)
-    run = brute_force_run(args.m, args.n, args.k, limits)
+    from dataclasses import fields
+
+    from .oracle import OracleLimitError, OracleLimits, brute_force_run
+
+    limits = OracleLimits(**{f.name: getattr(args, f.name) for f in fields(OracleLimits) if f.name in args})
+    try:
+        run = brute_force_run(args.m, args.n, args.k, limits)
+    except OracleLimitError as exc:
+        print(f"oracle limits: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     print(json.dumps(run.to_dict()))
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
+    from .render import render_svg
+
     drawing = _read_drawing(args.file)
     _write_text(args.output, render_svg(drawing))
     return EXIT_OK
@@ -346,9 +357,6 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"input is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OracleLimitError as exc:
-        print(f"oracle limits: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

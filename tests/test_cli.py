@@ -38,27 +38,31 @@ def cli_process(*argv, stdout=subprocess.PIPE):
 
 
 # Imports bookcross and bookcross.cli, runs main(ARGV) when ARGV is given,
-# and writes to stderr whether numpy was loaded after the imports and after
-# the run; exits with main's code.
-_NUMPY_PROBE = """
+# and writes a JSON report as the last line of stderr: whether numpy was
+# loaded after the imports and after the run, and the bookcross submodules
+# loaded at the end; exits with main's code.
+_PROBE = """
 import json, sys
 import bookcross, bookcross.cli
-loaded = ["numpy" in sys.modules]
+numpy = ["numpy" in sys.modules]
 code = bookcross.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-loaded.append("numpy" in sys.modules)
-print(json.dumps(loaded), file=sys.stderr)
+numpy.append("numpy" in sys.modules)
+modules = sorted(name for name in sys.modules if name.startswith("bookcross."))
+print(json.dumps({"numpy": numpy, "modules": modules}), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def numpy_probe(*argv) -> tuple[int, str, list[bool]]:
-    """Run ``_NUMPY_PROBE`` in a fresh interpreter (the test process has numpy
-    loaded already): its exit code, its stdout and the two numpy flags."""
+def import_probe(*argv, stdin: str = "") -> tuple[int, str, list[str], dict]:
+    """Run ``_PROBE`` in a fresh interpreter (the test process has numpy and
+    every bookcross module loaded already): its exit code, its stdout, the
+    lines of stderr before the report, and the report."""
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
-        capture_output=True, env=_src_env(), text=True, timeout=120,
+        [sys.executable, "-c", _PROBE, *argv],
+        input=stdin, capture_output=True, env=_src_env(), text=True, timeout=120,
     )
-    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+    *err, report = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, err, json.loads(report)
 
 
 def _log_record(m, n, k, canonical='"000001111"', nodes="0", millis="0.1"):
@@ -147,20 +151,50 @@ class TestLazyNumpy:
         ids=["import", "count-drawings", "enumerate", "bounds", "bounds-scan", "proven-jobs1", "proven-jobs2"],
     )
     def test_never_loaded(self, argv):
-        code, out, loaded = numpy_probe(*argv)
+        code, out, _, report = import_probe(*argv)
         assert code == 0
-        assert loaded == [False, False]
+        assert report["numpy"] == [False, False]
         if argv[:1] == ("verify-pagenumber",):
             assert out.splitlines()[-1].startswith("proven")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_refuted_witness_loads_it_mid_run(self, jobs):
-        code, out, loaded = numpy_probe("verify-pagenumber", "4", "4", "3", "--jobs", jobs)
+        code, out, _, report = import_probe("verify-pagenumber", "4", "4", "3", "--jobs", jobs)
         assert code == 1
-        assert loaded == [False, True]
+        assert report["numpy"] == [False, True]
         d = from_json(out.splitlines()[-1])
         assert count_crossings(d).total == 0
         assert pairwise_crossing_total(d) == 0
+
+
+class TestLazyModules:
+    """The CLI imports coloring, drawings and enumeration; bounds,
+    constructions, oracle and render load only in the commands that run them."""
+
+    HANDLER_ONLY = {"bookcross.bounds", "bookcross.constructions", "bookcross.oracle", "bookcross.render"}
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("count-drawings", "5", "7"), ""),
+            (("enumerate", "4", "5"), ""),
+            (("crossings", "-"), '{"m": 1, "n": 2, "k": 1, "order": ["b0", "w0", "w1"], "edges": [[0, 0, 0], [0, 1, 0]]}'),
+            (("verify-pagenumber", "4", "5", "3", "--jobs", "1"), ""),
+        ],
+        ids=["count-drawings", "enumerate", "crossings", "verify-pagenumber"],
+    )
+    def test_never_loaded(self, argv, stdin):
+        code, out, err, report = import_probe(*argv, stdin=stdin)
+        assert (code, err) == (0, [])
+        assert out
+        assert "bookcross.cli" in report["modules"]
+        assert not self.HANDLER_ONLY & set(report["modules"])
+
+    def test_oracle_limit_error_exits_2(self):
+        code, out, err, _ = import_probe("oracle", "7", "7", "2")
+        assert code == 2
+        assert out == ""
+        assert err == ["oracle limits: m+n = 14 exceeds the oracle limit of 10 vertices"]
 
 
 class TestConstructAndCrossings:
