@@ -17,8 +17,8 @@ from bookcross import (
     riskin_drawing,
 )
 
-print("=== 1-page drawings with evenly spread blacks ===")
-for m, n in [(2, 4), (3, 3), (3, 6), (4, 8)]:
+print("=== 1-page drawings on the balanced gap word (optimal for every m, n) ===")
+for m, n in [(2, 4), (3, 3), (3, 6), (4, 8), (4, 6), (6, 4)]:
     d = riskin_drawing(m, n)
     counted = count_crossings(d).total
     print(f"K_{{{m},{n}}}: counted {counted}, closed form {riskin_crossing_count(m, n)}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from .drawings import _check_ints
 
@@ -77,14 +77,31 @@ def zarankiewicz(m: int, n: int) -> int:
 
 
 def riskin_value(m: int, n: int) -> BoundValue:
-    """Exact 1-page crossing number n(m-1)(2mn-3m-n)/12, valid iff m | n."""
+    """Exact 1-page crossing number of K_{m,n} for every m >= 1, n >= 0:
+    (2m^2n^2 - 3mn(m+n) + m^2 + n^2 + 3mn - g^2)/12 with g = gcd(m, n), which
+    is Riskin's n(m-1)(2mn-3m-n)/12 plus (m^2 - g^2)/12.  Proved and
+    computer-checked here (tests: the least count over all layouts, m + n <= 16):
+
+    * Of two blacks and two whites, one of the two ways to join them crosses
+      unless the colours alternate around the circle.  A black pair with A
+      whites on one arc alternates with f(A) = A(n-A) white pairs, so a layout
+      has C(m,2)C(n,2) - sum f(A) crossings, summed over black pairs.
+    * With g_i whites after black i, the pair (i, i+d) has the window sum
+      W_{i,d} = g_i + ... + g_{i+d-1} (indices mod m) on one arc, and
+      d = 1..m-1 meets each pair twice.  For each d the windows total dn and f
+      is concave, so the balanced gaps g_i = floor((i+1)n/m) - floor(in/m),
+      whose windows are all floor(dn/m) or its ceiling, maximize every d's
+      f-sum at once.
+    * With e = dn mod m, those windows' f-sum is dn^2 - (d^2n^2 - e^2)/m - e.
+      For d = 0..m-1, e runs over the multiples of g below m, each g times,
+      so sum e = m(m-g)/2 and sum e^2 = m(m-g)(2m-g)/6; summing over d and
+      halving gives the polynomial.
+    """
     _check_ints(m=m)
     _check_ints(0, n=n)
-    value = Fraction(n * (m - 1) * (2 * m * n - 3 * m - n), 12)
-    valid = n % m == 0
-    if valid:
-        value = int(value)  # always integral in the valid range
-    return BoundValue(value, valid, "riskin_value")
+    g = gcd(m, n)
+    value = (2 * m * m * n * n - 3 * m * n * (m + n) + m * m + n * n + 3 * m * n - g * g) // 12
+    return BoundValue(value, True, "riskin_value")
 
 
 def turan_lower(k: int, n: int, s: int) -> int:
@@ -267,11 +284,10 @@ def general_rows(k: int, m: int, n: int) -> list[ScanRow]:
     its formula applies at this k."""
     _check_ints(k=k, m=m, n=n)
     glb = general_lower(k, m, n)
-    rv = riskin_value(m, n)
     return [
         ScanRow(k, m, n, glb.source, "lower", glb.value, glb.valid),
         ScanRow(k, m, n, "block_cyclic_bound", "upper", block_cyclic_bound(k, m, n), True),
-        ScanRow(k, m, n, "riskin_value_k1", "exact", rv.value, rv.valid and k == 1),
+        ScanRow(k, m, n, "riskin_value_k1", "exact", riskin_value(m, n).value, k == 1),
         ScanRow(k, m, n, "zarankiewicz_k2", "upper", zarankiewicz(m, n), k == 2),
     ]
 

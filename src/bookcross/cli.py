@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -162,7 +161,6 @@ def _cmd_enumerate(args) -> int:
 def _cmd_construct(args) -> int:
     from .constructions import balanced_embedding, block_cyclic, blowup, riskin_drawing
 
-    uneven = False
     if args.family == "balanced":
         drawing = balanced_embedding(args.k)
     elif args.family == "blowup":
@@ -170,12 +168,7 @@ def _cmd_construct(args) -> int:
     elif args.family == "block-cyclic":
         drawing = block_cyclic(args.m, args.n, args.k)
     else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            drawing = riskin_drawing(args.m, args.n)
-        uneven = bool(caught)
-    if uneven:
-        print("note: uneven distribution (m does not divide n); optimality not guaranteed", file=sys.stderr)
+        drawing = riskin_drawing(args.m, args.n)
     _write_text(args.output, to_json(drawing) + "\n")
     return EXIT_OK
 

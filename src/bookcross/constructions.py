@@ -2,8 +2,8 @@
 
 Four constructions:
 
-* ``riskin_drawing``   -- 1-page drawing with the black vertices spread evenly
-  among the whites; optimal when m divides n.
+* ``riskin_drawing``   -- 1-page drawing on the balanced gap word, optimal for
+  every m, n.
 * ``balanced_embedding`` -- crossing-free k-page embedding of
   K_{k+1, floor((k+1)^2/4)} in which every white vertex has load 2 on exactly
   one page.
@@ -34,7 +34,6 @@ when it fills its page array.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .bounds import block_cyclic_bound, riskin_value, turan_lower
@@ -47,34 +46,19 @@ class ConstructionError(RuntimeError):
 
 
 def riskin_drawing(m: int, n: int) -> BookDrawing:
-    """1-page drawing of K_{m,n} with blacks inserted at evenly spaced gaps.
-
-    For m | n the gaps all hold n/m whites and the crossing count equals
-    n(m-1)(2mn-3m-n)/12.  For m not dividing n the whites are distributed as
-    evenly as possible (lowest-indexed gaps get the extra vertex); this
-    extension is flagged with a UserWarning since the optimality guarantee
-    only covers the divisible case.
-    """
+    """1-page drawing of K_{m,n} with floor((i+1)n/m) - floor(in/m) whites
+    after black i (n/m each when m | n).  It attains ``bounds.riskin_value``,
+    whose proof shows this word optimal."""
     import numpy as np
 
     _check_ints(m=m, n=n)
-    group, rem = divmod(n, m)
-    if rem:
-        warnings.warn(
-            f"{m} does not divide {n}: distributing whites as evenly as possible; "
-            "the closed-form crossing count does not apply",
-            stacklevel=2,
-        )
-    layout = layout_from_string("".join("1" + "0" * (group + (i < rem)) for i in range(m)))
+    layout = layout_from_string("".join("1" + "0" * ((i + 1) * n // m - i * n // m) for i in range(m)))
     return BookDrawing(layout, 1, np.zeros((m, n), dtype=np.int64))
 
 
 def riskin_crossing_count(m: int, n: int) -> int:
-    """Closed-form 1-page count ``bounds.riskin_value``; requires m | n."""
-    exact = riskin_value(m, n)
-    if not exact.valid:
-        raise ValueError("closed form requires m | n")
-    return exact.value
+    """Closed-form 1-page minimum ``bounds.riskin_value``, for every m, n."""
+    return riskin_value(m, n).value
 
 
 @dataclass(frozen=True)

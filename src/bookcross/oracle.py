@@ -16,7 +16,6 @@ drawings, not formula values.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, fields
 
 from .coloring import conflict_graph
@@ -70,9 +69,7 @@ def _construction_incumbent(m: int, n: int, k: int) -> int:
     """
     candidates = [block_cyclic(m, n, k)]
     if k == 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            candidates.append(riskin_drawing(m, n))
+        candidates.append(riskin_drawing(m, n))
     for mm, nn in ((m, n), (n, m)):
         if mm == k + 1:
             s, t = balanced_parameters(k)

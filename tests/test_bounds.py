@@ -6,6 +6,7 @@ import pytest
 
 from bookcross.bounds import (
     BoundQuery,
+    BoundValue,
     asymptotic_bounds,
     block_cyclic_bound,
     consistency_scan,
@@ -17,8 +18,10 @@ from bookcross.bounds import (
     turan_lower,
     zarankiewicz,
 )
+from bookcross.coloring import conflict_graph
 from bookcross.constructions import balanced_embedding, block_cyclic, blowup
 from bookcross.drawings import count_crossings
+from bookcross.enumeration import enumerate_layouts
 from bookcross.oracle import brute_force_nu
 
 
@@ -49,7 +52,35 @@ class TestRiskinValue:
         assert bv.valid and bv.value == 3 == brute_force_nu(3, 3, 1)
 
     def test_invalid_when_not_divisible(self):
-        assert not riskin_value(3, 4).valid
+        bv = riskin_value(3, 4)
+        assert bv.valid and bv.value == 8 == brute_force_nu(3, 4, 1)
+
+    @pytest.mark.parametrize("m, n, value", [(2, 5, 4), (4, 6, 46), (6, 4, 46), (3, 7, 31)])
+    def test_matches_oracle_when_not_divisible(self, m, n, value):
+        assert riskin_value(m, n).value == value == brute_force_nu(m, n, 1)
+
+    def test_matches_least_crossings_over_all_layouts(self):
+        # one page: a layout's crossings are its conflict graph's edges
+        for size in range(2, 17):
+            for m in range(1, size):
+                least = min(conflict_graph(lay).edge_count for lay in enumerate_layouts(m, size - m))
+                assert riskin_value(m, size - m) == BoundValue(least, True, "riskin_value"), (m, size - m)
+
+    def test_matches_window_sums(self):
+        # the O(m) form of the proof: C(m,2)C(n,2) minus half the best sum of
+        # f(A) = A(n - A) over the d-windows, e windows of a + 1 whites and m - e of a
+        for m in range(1, 80):
+            for n in range(80):
+                windows = 0
+                for d in range(1, m):
+                    a, e = divmod(d * n, m)
+                    windows += e * (a + 1) * (n - a - 1) + (m - e) * a * (n - a)
+                assert riskin_value(m, n).value == comb(m, 2) * comb(n, 2) - windows // 2, (m, n)
+
+    def test_riskin_formula_kept_when_divisible(self):
+        for m in range(1, 13):
+            for n in range(0, 30, m):
+                assert riskin_value(m, n).value * 12 == n * (m - 1) * (2 * m * n - 3 * m - n), (m, n)
 
 
 class TestTuranLower:

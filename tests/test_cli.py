@@ -220,12 +220,12 @@ class TestConstructAndCrossings:
         assert (d.m, d.n, d.k) == (6, 9, 5)
         assert count_crossings(d).total == 0
 
-    def test_riskin_uneven_notes(self, capsys):
-        code, out, err = run(capsys, "construct", "riskin", "3", "4")
-        assert code == 0
-        assert "uneven" in err
-        d = from_json(out)
-        assert d.k == 1
+    def test_riskin_uneven_notes(self, capsys, tmp_path):
+        path = tmp_path / "r34.json"
+        assert run(capsys, "construct", "riskin", "3", "4", "-o", str(path)) == (0, "", "")
+        assert from_json(path.read_text()).k == 1
+        code, out, err = run(capsys, "crossings", str(path))
+        assert (code, out.splitlines()[0], err) == (0, "total 8", "")
 
     def test_round_trip_report_identical(self, capsys, tmp_path):
         path = tmp_path / "r.json"
@@ -482,8 +482,17 @@ class TestBounds:
                     ["zarankiewicz_k2", "upper", 6, False],
                 ],
             ),
+            (
+                ("1", "3", "4"),
+                [
+                    ["general_lower", "lower", "3/2", False],
+                    ["block_cyclic_bound", "upper", 18, True],
+                    ["riskin_value_k1", "exact", 8, True],
+                    ["zarankiewicz_k2", "upper", 2, False],
+                ],
+            ),
         ],
-        ids=["3_10_10", "1_3_6"],
+        ids=["3_10_10", "1_3_6", "1_3_4"],
     )
     def test_general_table_json(self, capsys, args, rows):
         code, out, _ = run(capsys, "bounds", *args)
@@ -494,6 +503,18 @@ class TestBounds:
             for f, kind, v, ok in rows
         ]
         assert out == json.dumps(expected) + "\n"
+
+    def test_one_page_value_at_once(self):
+        # a loop over m would take hours here
+        with cli_process("bounds", "1", "1000000000000", "999999999999") as proc:
+            try:
+                out, err = proc.communicate(timeout=20)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (0, "")
+        row = json.loads(out)[2]
+        assert (row["formula"], row["valid"]) == ("riskin_value_k1", True)
+        assert isinstance(row["value"], int)
 
     def test_scan_flags_known_violation(self, capsys):
         code, out, _ = run(capsys, "bounds", "4", "13", "--scan")

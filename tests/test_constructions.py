@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -18,7 +19,7 @@ from bookcross.constructions import (
     riskin_drawing,
 )
 from bookcross.drawings import BookDrawing, count_crossings, is_balanced_embedding
-from bookcross.enumeration import enumerate_layouts
+from bookcross.enumeration import enumerate_layouts, layout_from_string
 
 
 def one_page_total(layout):
@@ -46,9 +47,27 @@ class TestRiskin:
             assert count_crossings(riskin_drawing(m, n)).total == riskin_crossing_count(m, n)
 
     def test_uneven_distribution_warns(self):
-        with pytest.warns(UserWarning):
+        minimum = min(one_page_total(lay) for lay in enumerate_layouts(3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             d = riskin_drawing(3, 4)
-        assert d.m == 3 and d.n == 4 and d.k == 1
+        assert (d.m, d.n, d.k) == (3, 4, 1)
+        assert count_crossings(d).total == 8 == minimum
+
+    def test_attains_closed_form_for_every_m_n(self):
+        for m in range(1, 41):
+            for n in range(1, 41):
+                assert count_crossings(riskin_drawing(m, n)).total == riskin_value(m, n).value, (m, n)
+
+    @pytest.mark.parametrize("m, n, minimum", [(4, 6, 46), (6, 4, 46), (7, 10, 549), (9, 13, 1688)])
+    def test_exact_minima_when_not_divisible(self, m, n, minimum):
+        # the least crossing counts over all layouts
+        assert count_crossings(riskin_drawing(m, n)).total == minimum == riskin_crossing_count(m, n)
+
+    def test_divisible_word_unchanged(self):
+        for m in range(1, 13):
+            for n in range(m, 30, m):
+                assert riskin_drawing(m, n).layout == layout_from_string(("1" + "0" * (n // m)) * m), (m, n)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):

@@ -95,10 +95,15 @@ class TestLookAheadBound:
         monkeypatch.setattr(oracle, "_layout_minimum", reference_layout_minimum)
         assert run.value == brute_force_run(m, n, k, BENCH_LIMITS).value
 
-    @pytest.mark.parametrize("m, n, k, built, value", [(4, 6, 1, 47, 46), (5, 5, 3, 4, 3)])
+    @pytest.mark.parametrize("m, n, k, built, value", [(5, 5, 3, 4, 3)])
     def test_walk_beats_construction(self, m, n, k, built, value):
         assert oracle._construction_incumbent(m, n, k) == built
         assert brute_force_nu(m, n, k) == value
+
+    def test_one_page_construction_is_optimal(self):
+        for size in range(2, 11):
+            for m in range(1, size):
+                assert oracle._construction_incumbent(m, size - m, 1) == riskin_crossing_count(m, size - m)
 
     def test_node_count_and_budget(self):
         # 604,104 nodes before the bound
