@@ -30,6 +30,13 @@ Number = int | Fraction
 _EXACT_K = range(2, 7)  # the k for which exact_crossing_number is established
 
 
+def _ints(low: int = 1, **values: object) -> list[int]:
+    """``_check_ints``, then the values as Python ints: a numpy integer
+    would wrap around silently in the products below."""
+    _check_ints(low, **values)
+    return [int(v) for v in values.values()]
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Parameter bundle for bound evaluation; derived values are recomputed,
@@ -72,7 +79,7 @@ class BoundValue:
 
 def zarankiewicz(m: int, n: int) -> int:
     """Z(m,n) = floor(m/2) floor((m-1)/2) floor(n/2) floor((n-1)/2)."""
-    _check_ints(0, m=m, n=n)
+    m, n = _ints(0, m=m, n=n)
     return (m // 2) * ((m - 1) // 2) * (n // 2) * ((n - 1) // 2)
 
 
@@ -97,8 +104,8 @@ def riskin_value(m: int, n: int) -> BoundValue:
       so sum e = m(m-g)/2 and sum e^2 = m(m-g)(2m-g)/6; summing over d and
       halving gives the polynomial.
     """
-    _check_ints(m=m)
-    _check_ints(0, n=n)
+    [m] = _ints(m=m)
+    [n] = _ints(0, n=n)
     g = gcd(m, n)
     value = (2 * m * m * n * n - 3 * m * n * (m + n) + m * m + n * n + 3 * m * n - g * g) // 12
     return BoundValue(value, True, "riskin_value")
@@ -111,8 +118,8 @@ def turan_lower(k: int, n: int, s: int) -> int:
     that hypothesis (s = floor((k+1)^2/4) for k in 2..6, or the general
     non-embeddable width).  Zero for n <= s.
     """
-    _check_ints(s=s)
-    _check_ints(0, n=n)
+    [s] = _ints(s=s)
+    [n] = _ints(0, n=n)
     q = n % s
     c = (n - q) // s
     return q * comb(c + 1, 2) + (s - q) * comb(c, 2)
@@ -124,7 +131,7 @@ def exact_crossing_number(k: int, n: int) -> int:
     Equals the clique-partition bound at s = floor((k+1)^2/4), which the
     blow-up construction attains.  At k=2 this is Z(3,n).
     """
-    _check_ints(k=k)
+    [k] = _ints(k=k)
     if k not in _EXACT_K:
         raise ValueError(f"exact values are only established for k in {_EXACT_K[0]}..{_EXACT_K[-1]}")
     return turan_lower(k, n, (k + 1) ** 2 // 4)
@@ -144,7 +151,7 @@ def asymptotic_bounds(k: int, n: int) -> tuple[Fraction, Fraction]:
     to the next integer, weakening (never overstating) the reported bound;
     the upper bound is exact.
     """
-    _check_ints(k=k, n=n)
+    k, n = _ints(k=k, n=n)
     denom = k * k + _ceil_scaled_k74(2000, k)
     lower = Fraction(2 * n * n, denom) - n
     upper = Fraction(2 * n * n, k * k) + Fraction(n, 2)
@@ -158,8 +165,8 @@ def multiplanar_lower_even(k: int, n: int) -> int:
     some small n (for example k=4, n=12 gives 12 against the exact 6); the
     discrepancy is surfaced by consistency_scan rather than silently patched.
     """
-    _check_ints(k=k)
-    _check_ints(0, n=n)
+    [k] = _ints(k=k)
+    [n] = _ints(0, n=n)
     if k % 2:
         raise ValueError("this bound requires even k")
     blocks = n // (k * (k - 1))
@@ -171,8 +178,8 @@ def general_lower(k: int, m: int, n: int) -> BoundValue:
 
     Valid for m >= 6 ceil(k/2) - 1 and n >= max(6 ceil(k/2) - 1, 2 ceil(k/2)^2).
     """
-    _check_ints(k=k)
-    _check_ints(0, m=m, n=n)
+    [k] = _ints(k=k)
+    m, n = _ints(0, m=m, n=n)
     r = (k + 1) // 2
     value = Fraction(comb(m, 2) * comb(n, 2), 3 * (3 * r - 1) ** 2)
     valid = m >= 6 * r - 1 and n >= max(6 * r - 1, 2 * r * r)
@@ -181,8 +188,8 @@ def general_lower(k: int, m: int, n: int) -> BoundValue:
 
 def block_cyclic_bound(k: int, m: int, n: int) -> int:
     """Upper bound (m-r)(n-s)(m-k+r)(n-k+s)/(4k^2) from the block-cyclic drawing."""
-    _check_ints(k=k)
-    _check_ints(0, m=m, n=n)
+    [k] = _ints(k=k)
+    m, n = _ints(0, m=m, n=n)
     r = m % k
     s = n % k
     value, rem = divmod((m - r) * (n - s) * (m - k + r) * (n - k + s), 4 * k * k)
@@ -195,7 +202,7 @@ def nonembeddable_width(k: int) -> int:
     """ceil(k^2/4 + 500 k^(7/4)), the least w with 4w >= k^2 + 2000 k^(7/4):
     K_{k+1,n} has no k-page embedding for n at or beyond it.  4w is an integer,
     so rounding 2000 k^(7/4) up first (``_ceil_scaled_k74``) keeps w exact."""
-    _check_ints(k=k)
+    [k] = _ints(k=k)
     return -(-(k * k + _ceil_scaled_k74(2000, k)) // 4)
 
 
@@ -256,7 +263,7 @@ class ScanReport:
 
 def family_rows(k: int, n: int) -> list[ScanRow]:
     """Every applicable bound row for the family K_{k+1,n}."""
-    _check_ints(k=k, n=n)
+    k, n = _ints(k=k, n=n)
     rows: list[ScanRow] = []
     m = k + 1
     ell = (k + 1) ** 2 // 4
@@ -282,7 +289,7 @@ def family_rows(k: int, n: int) -> list[ScanRow]:
 def general_rows(k: int, m: int, n: int) -> list[ScanRow]:
     """The bound rows for a general K_{m,n}; each row's ``valid`` says whether
     its formula applies at this k."""
-    _check_ints(k=k, m=m, n=n)
+    k, m, n = _ints(k=k, m=m, n=n)
     glb = general_lower(k, m, n)
     return [
         ScanRow(k, m, n, glb.source, "lower", glb.value, glb.valid),

@@ -39,7 +39,7 @@ from .coloring import (
     verify_positive_crossing,
 )
 from .drawings import DrawingFormatError, _check_ints, _is_index, count_crossings, from_json, to_json
-from .enumeration import _bracelets, canonical_form, count_formula, layout_from_string
+from .enumeration import _bracelets, canonical_form, count_formula
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -236,7 +236,7 @@ def _cmd_verify(args) -> int:
             log_fh.writelines(line + "\n" for line in lines)
     if args.export_cnf:
         for log in result.logs:
-            g = conflict_graph(layout_from_string(log.canonical))
+            g = conflict_graph(log.canonical)
             name = os.path.join(args.export_cnf, f"layout_{log.canonical}_k{args.k}.cnf")
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write(export_cnf(g, args.k))

@@ -5,10 +5,12 @@ The conflict graph of a circular layout has one vertex per edge of K_{m,n}
 are adjacent iff the edges cross when drawn on a single page.  A layout
 extends to a crossing-free k-page drawing iff its conflict graph is
 k-colorable (colors = pages), so "no layout is k-colorable" certifies that
-every k-page drawing of K_{m,n} has a crossing.  Adjacency comes from one
-prefix-XOR table of Python-int masks over the spine, built on the first
-read of ``adj``: a layout whose clique sweep alone settles it never builds
-its adjacency.
+every k-page drawing of K_{m,n} has a crossing.  ``check_layout`` gives
+``conflict_graph`` the canonical 0/1 word, which is all the clique sweep
+reads.  The ``CircularLayout`` and its adjacency (one prefix-XOR table of
+Python-int masks over the spine) are built on first read of ``layout`` or
+``adj``: a layout that the sweep settles builds neither, and one that it
+leaves open builds each once.
 
 Colorability is decided by exhaustive DSATUR-ordered backtracking with two
 sound symmetry reductions: the vertices of one clique are pre-colored
@@ -30,9 +32,10 @@ the colour-flipped word right of it, so each cut's clique size is one
 bit-parallel LCS on Python ints (Allison and Dix, IPL 23, 1986; Hyyro,
 2004).  Deciding at k, the sweep skips each cut whose size bound is at most
 k and stops at the first above k: that layout is not colorable, with no
-clique built.  The others get a full sweep and a patience sort at the first
-cut of largest size, the clique a sort at every cut returns; DSATUR
-pre-colors it.
+clique built.  The graph keeps the cut sizes measured, so the full sweep of
+a layout left open measures only the cuts the decision skipped: each layout
+is swept once.  A patience sort at the first cut of largest size then gives
+the clique a sort at every cut returns; DSATUR pre-colors it.
 """
 
 from __future__ import annotations
@@ -63,14 +66,31 @@ INCONCLUSIVE = "inconclusive"
 class ConflictGraph:
     """Crossing graph on the m*n edges of K_{m,n}, with ``adj`` the bitmask of
     neighbours per vertex: given by hand, or built from ``layout`` on first
-    read.  Equality and hashing follow (m, n, adj); the layout is left out."""
+    read.  ``conflict_graph`` can give it the layout's 0/1 word instead, and
+    then ``layout`` too is built on first read.  The clique sweep reads only
+    the word, and keeps on the graph each cut size it measures: a layout is
+    built only for a graph that the decision at k leaves open, and
+    ``find_clique`` finishes that sweep instead of sweeping again.  Equality
+    and hashing follow (m, n, adj); the layout is left out."""
 
     def __init__(self, m: int, n: int, adj: tuple[int, ...] | None = None, layout: CircularLayout | None = None):
         self.m = m
         self.n = n
-        self.layout = layout  # None if hand-built
+        self._source: CircularLayout | str | None = layout  # a 0/1 word if given one by conflict_graph
+        self._cuts: dict[int, int] = {}  # spine cut -> its clique size, as far as the sweep measured
         if adj is not None:
             self.adj = adj
+
+    @cached_property
+    def layout(self) -> CircularLayout | None:
+        """None if hand-built."""
+        source = self._source
+        return layout_from_string(source) if isinstance(source, str) else source
+
+    @cached_property
+    def _word(self) -> str | None:
+        """The layout's 0/1 word (black '1'); set by conflict_graph if given one."""
+        return None if self.layout is None else self.layout.to_bitstring()
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -105,10 +125,22 @@ class ConflictGraph:
         return all(colors[u] != colors[v] for u, v in self.edges())
 
 
-def conflict_graph(layout: CircularLayout) -> ConflictGraph:
-    """The conflict graph of a layout.  Its adjacency is built from the
-    prefix-XOR table on first read of ``adj``, so a layout that the clique
-    sweep settles (which reads only the layout) never builds it."""
+def conflict_graph(layout: CircularLayout | str) -> ConflictGraph:
+    """The conflict graph of a layout, or of its 0/1 word (black '1',
+    vertices numbered clockwise as ``layout_from_string`` numbers them).  The
+    clique sweep reads only the word; the layout of a word, and the
+    adjacency (from the prefix-XOR table), are built on first read of
+    ``layout`` or ``adj``.  So a layout that the sweep settles builds
+    neither, and one that it leaves open builds each once and is swept once:
+    the graph keeps the cut sizes that the decision at k measured."""
+    if isinstance(layout, str):
+        m = layout.count("1")
+        n = len(layout) - m
+        if m and n and layout.count("0") == n:
+            g = ConflictGraph(m, n)
+            g._source = g._word = layout  # the sweep reads _word once per layout: skip its descriptor
+            return g
+        layout = layout_from_string(layout)  # raises its ValueError
     return ConflictGraph(layout.m, layout.n, layout=layout)
 
 
@@ -152,10 +184,13 @@ def _lcs_length(short: str, match: Mapping[str, int], width: int) -> int:
     return width - (v & full).bit_count()
 
 
-def _clique_sweep(layout: CircularLayout, k: int | None = None) -> tuple[int, int]:
-    """The size of a largest set of pairwise-crossing chords, and the first
-    spine cut p that such a set straddles (lo <= p < hi), or -1 if no chord.
-    Given k, it stops at the first cut whose set exceeds k; (k, -1) if none.
+def _clique_sweep(word: str, k: int | None = None, cuts: dict[int, int] | None = None) -> tuple[int, int]:
+    """The size of a largest set of pairwise-crossing chords of a layout's
+    0/1 word (black '1'), and the first spine cut p that such a set
+    straddles (lo <= p < hi), or -1 if no chord.  Given k, it stops at the
+    first cut whose set exceeds k; (k, -1) if none.  ``cuts`` maps each cut
+    measured so far to its size: the sweep reads it instead of measuring a
+    cut again, and adds each cut it measures.
 
     t pairwise-crossing chords that straddle p are exactly a common
     subsequence of length t of the left word w[0..p] and the colour-flipped
@@ -167,28 +202,33 @@ def _clique_sweep(layout: CircularLayout, k: int | None = None) -> tuple[int, in
     p.  With bl blacks and wl whites in 0..p, it is thus at most
     min(bl, n - wl) + min(wl, m - bl) large, and a cut whose bound is at
     most the best size so far (k at first, if given) is skipped."""
-    m, n = layout.m, layout.n
-    word = "".join([c for c, _ in layout.seq])
     size = len(word)
-    black = int(word[::-1].replace("b", "1").replace("w", "0") or "0", 2)  # bit p: position p is black
+    m = word.count("1")
+    n = size - m
+    black = int(word[::-1] or "0", 2)  # bit p: position p is black
     white = black ^ ((1 << size) - 1)
-    whole = {"b": white, "w": black}  # per letter, the positions of the other colour
+    whole = {"1": white, "0": black}  # per letter, the positions of the other colour
+    if cuts is None:
+        cuts = {}
     best = 0 if k is None else k
     bl = wl = 0
     cut = -1
     for p, c in enumerate(word):
-        if c == "b":
+        if c == "1":
             bl += 1
         else:
             wl += 1
         # min(bl, n - wl) + min(wl, m - bl), spelled out: it runs at every cut
         if (bl if bl < n - wl else n - wl) + (wl if wl < m - bl else m - bl) <= best:
             continue
-        left = p + 1
-        if 2 * left < size:  # the right word is the bit vector
-            length = _lcs_length(word[:left], {"b": white >> left, "w": black >> left}, size - left)
-        else:
-            length = _lcs_length(word[left:], whole, left)
+        length = cuts.get(p)
+        if length is None:
+            left = p + 1
+            if 2 * left < size:  # the right word is the bit vector
+                length = _lcs_length(word[:left], {"1": white >> left, "0": black >> left}, size - left)
+            else:
+                length = _lcs_length(word[left:], whole, left)
+            cuts[p] = length
         if length > best:
             best, cut = length, p
             if k is not None:
@@ -196,26 +236,26 @@ def _clique_sweep(layout: CircularLayout, k: int | None = None) -> tuple[int, in
     return best, cut
 
 
-def _crossing_chain(layout: CircularLayout) -> list[int]:
+def _crossing_chain(layout: CircularLayout, cuts: dict[int, int] | None = None) -> list[int]:
     """A largest set of pairwise-crossing chords (lo, hi): ordered by lo, both
     ends rise strictly and all straddle one spine cut p (lo <= p < hi), so per
     cut it is a longest strictly increasing run of hi over the chords in
     (lo, -hi) order, the tie-break keeping chords with a shared left end
     apart.  The first cut that reaches the maximum gives the run.
 
-    ``_clique_sweep`` finds that cut and the run's length; the run itself,
-    back-pointers and all, comes from one patience sort over the chords
-    that straddle it in (lo, -hi) order, so it is the run a sort at every
-    cut would return."""
-    best, cut = _clique_sweep(layout)
+    ``_clique_sweep`` finds that cut and the run's length, reusing the cut
+    sizes in ``cuts``; the run itself, back-pointers and all, comes from one
+    patience sort over the chords that straddle it in (lo, -hi) order, so it
+    is the run a sort at every cut would return."""
     m, n, seq = layout.m, layout.n, layout.seq
-    word = "".join(c for c, _ in seq)
+    word = layout.to_bitstring()
+    best, cut = _clique_sweep(word, cuts=cuts)
     size = len(word)
     part = [i * n if c == "b" else i for c, i in seq]  # a chord's vertex i*n + j is the sum at its ends
     # per colour, (hi, part[hi]) over the other colour's positions above the cut, hi descending
-    opposite: dict[str, list[tuple[int, int]]] = {"b": [], "w": []}
+    opposite: dict[str, list[tuple[int, int]]] = {"1": [], "0": []}
     for hi in range(size - 1, cut, -1):
-        opposite["w" if word[hi] == "b" else "b"].append((hi, part[hi]))
+        opposite["0" if word[hi] == "1" else "1"].append((hi, part[hi]))
     tails = [size] * best  # least hi ending a run of each length; size ends none
     ends = [-1] * (best + 1)  # ends[r + 1]: the vertex with hi tails[r]
     prev = [-1] * (m * n)  # prev[v]: the vertex before v in its run
@@ -262,10 +302,11 @@ def _exact_max_clique(g: ConflictGraph) -> list[int]:
 
 def find_clique(g: ConflictGraph) -> list[int]:
     """A maximum clique of g, size omega(g) <= chi(g): the crossing-chain sweep
-    over a conflict graph's layout, exact branch and bound without a layout."""
+    over a conflict graph's layout (finishing the sweep of a decision at k
+    on g), exact branch and bound without a layout."""
     if g.layout is None:
         return _exact_max_clique(g)
-    return _crossing_chain(g.layout)
+    return _crossing_chain(g.layout, g._cuts)
 
 
 def clique_lower_bound(g: ConflictGraph) -> int:
@@ -322,7 +363,7 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     if nvert == 0:
         return ColoringResult(COLORABLE, (), 0, _ms(start))
 
-    if g.layout is not None and _clique_sweep(g.layout, k)[0] > k:
+    if g._word is not None and _clique_sweep(g._word, k, g._cuts)[0] > k:
         return ColoringResult(NOT_COLORABLE, None, 0, _ms(start))  # no clique built
     clique = find_clique(g)
     if len(clique) > k:
@@ -556,8 +597,7 @@ def coloring_to_drawing(layout: CircularLayout, colors: Sequence[int], k: int) -
 
 def check_layout(canonical: str, k: int, budget: int = DEFAULT_NODE_BUDGET) -> tuple[LayoutLog, tuple[int, ...] | None]:
     """Colorability verdict for one canonical layout string."""
-    layout = layout_from_string(canonical)
-    result = is_k_colorable(conflict_graph(layout), k, budget)
+    result = is_k_colorable(conflict_graph(canonical), k, budget)
     return LayoutLog(canonical, result.status, result.nodes, result.millis), result.assignment
 
 

@@ -1,7 +1,9 @@
+import warnings
 from fractions import Fraction
 from math import comb
 
 import mpmath
+import numpy as np
 import pytest
 
 from bookcross.bounds import (
@@ -11,7 +13,9 @@ from bookcross.bounds import (
     block_cyclic_bound,
     consistency_scan,
     exact_crossing_number,
+    family_rows,
     general_lower,
+    general_rows,
     multiplanar_lower_even,
     nonembeddable_width,
     riskin_value,
@@ -232,6 +236,39 @@ class TestNonembeddableWidth:
     def test_monotone(self):
         widths = [nonembeddable_width(k) for k in range(1, 30)]
         assert all(a < b for a, b in zip(widths, widths[1:]))
+
+
+class TestNumpyIntegers:
+    """A bound given numpy integers computes in Python ints: an int64 or int32
+    product used to wrap around with only a RuntimeWarning."""
+
+    CALLS = [
+        (zarankiewicz, (200_000, 200_000)),
+        (riskin_value, (200_000, 200_001)),
+        (turan_lower, (6, 10**6, 12)),
+        (exact_crossing_number, (6, 10**6)),
+        (asymptotic_bounds, (6, 10**6)),
+        (multiplanar_lower_even, (6, 10**6)),
+        (general_lower, (6, 10**6, 10**6)),
+        (block_cyclic_bound, (2, 10**6, 10**6)),
+        (nonembeddable_width, (300,)),
+        (family_rows, (6, 10**6)),
+        (general_rows, (2, 10**6, 10**6)),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("bound, args", CALLS, ids=[f.__name__ for f, _ in CALLS])
+    def test_equals_the_python_int_result(self, bound, args, dtype):
+        want = bound(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bound(*map(dtype, args))
+        assert got == want
+        assert repr(got) == repr(want)  # no numpy scalar inside the result
+
+    def test_block_cyclic_bound_of_a_million(self):
+        assert block_cyclic_bound(2, np.int64(10**6), 10**6) == 62_499_750_000_250_000_000_000
+        assert zarankiewicz(np.int64(200_000), 200_000) == zarankiewicz(200_000, 200_000)
 
 
 class TestBoundQuery:

@@ -21,6 +21,7 @@ from bookcross.coloring import (
     _crossing_chain,
     _exact_max_clique,
     _lcs_length,
+    check_layout,
     clique_lower_bound,
     coloring_satisfies_cnf,
     coloring_to_drawing,
@@ -197,6 +198,64 @@ class TestLazyAdjacency:
         assert g == hand and hand == g
         assert hash(g) == hash(hand)
         assert g != ConflictGraph(5, 4, hand.adj)
+
+
+@pytest.fixture
+def layouts_built(monkeypatch):
+    """The words that ``coloring`` builds a CircularLayout from from here on."""
+    words = []
+    build = coloring.layout_from_string
+
+    def counted(word):
+        words.append(word)
+        return build(word)
+
+    monkeypatch.setattr(coloring, "layout_from_string", counted)
+    return words
+
+
+class TestWordGraph:
+    """``conflict_graph`` of a layout's 0/1 word is the graph of its layout."""
+
+    def test_matches_the_layout_graph_up_to_twelve_positions(self):
+        # every word, canonical or not: the numbering must follow the word
+        words = 0
+        for size in range(2, 13):
+            for bits in range(1, (1 << size) - 1):  # both colours present
+                word = format(bits, f"0{size}b")
+                lay = layout_from_string(word)
+                g, h = conflict_graph(word), conflict_graph(lay)
+                assert (g.m, g.n) == (h.m, h.n) == (lay.m, lay.n)
+                assert g.adj == h.adj
+                clique = find_clique(h)
+                assert find_clique(conflict_graph(word)) == clique
+                for k in range(1, 5):  # g keeps the cut sizes that each decision measured
+                    assert outcome(is_k_colorable(g, k)) == outcome(is_k_colorable(h, k))
+                assert find_clique(g) == clique
+                assert g.layout == lay
+                words += 1
+        assert words == sum(2**size - 2 for size in range(2, 13))
+
+    def test_layout_built_on_first_read(self, layouts_built):
+        lay = layout_from_string("0011010111")
+        g = conflict_graph("0011010111")
+        assert layouts_built == []
+        assert g.edge_count == conflict_graph(lay).edge_count
+        assert g.layout == lay
+        assert layouts_built == ["0011010111"]  # once, for adj and layout both
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [("", "at least one black and one white"), ("0000", "at least one black and one white"),
+         ("1111", "at least one black and one white"), ("0120", "pattern must be over '0'/'1', got '2'")],
+    )
+    def test_malformed_words_raise_the_layout_error(self, word, message):
+        with pytest.raises(ValueError, match=message):
+            layout_from_string(word)
+        with pytest.raises(ValueError, match=message):
+            conflict_graph(word)
+        with pytest.raises(ValueError, match=message):
+            check_layout(word, 2)
 
 
 @pytest.fixture
@@ -381,7 +440,7 @@ class TestBitParallelSweep:
             return _lcs_length(short, match, width)
 
         monkeypatch.setattr(coloring, "_lcs_length", recording)
-        settled = sum(_clique_sweep(lay, 6)[0] > 6 for lay in enumerate_layouts(7, 13))
+        settled = sum(_clique_sweep(lay.to_bitstring(), 6)[0] > 6 for lay in enumerate_layouts(7, 13))
         # against the full sweep's 16,677: a cut whose bound is at most 6 is
         # skipped, and a layout stops at its first cut above 6
         assert len(calls) == 4_797
@@ -393,9 +452,9 @@ class TestBitParallelSweep:
         for size in range(30, 91, 4):
             m = rng.randint(1, size - 1)
             lay = random_layout(rng, m, size - m)
-            best = _clique_sweep(lay)[0]
+            best = _clique_sweep(lay.to_bitstring())[0]
             for k in range(1, size):
-                assert (_clique_sweep(lay, k)[0] > k) == (best > k)
+                assert (_clique_sweep(lay.to_bitstring(), k)[0] > k) == (best > k)
 
 
 class TestSweepFirst:
@@ -408,7 +467,7 @@ class TestSweepFirst:
             for m in range(1, size):
                 for lay in enumerate_layouts(m, size - m):
                     lengths = reference_cut_lengths(lay)
-                    best, cut = _clique_sweep(lay)
+                    best, cut = _clique_sweep(lay.to_bitstring())
                     assert best == max(lengths) == len(reference_crossing_chain(lay))
                     assert cut == lengths.index(best)  # the first cut of largest size
                     checked += 1
@@ -421,11 +480,11 @@ class TestSweepFirst:
             for m in range(1, size):
                 for lay in enumerate_layouts(m, size - m):
                     lengths = reference_cut_lengths(lay)
-                    best = _clique_sweep(lay)[0]
+                    best = _clique_sweep(lay.to_bitstring())[0]
                     for k in range(1, size):
                         above = [p for p, length in enumerate(lengths) if length > k]
                         want = (lengths[above[0]], above[0]) if above else (k, -1)
-                        got = _clique_sweep(lay, k)
+                        got = _clique_sweep(lay.to_bitstring(), k)
                         assert got == want
                         assert (got[0] > k) == (best > k)
 
@@ -433,7 +492,7 @@ class TestSweepFirst:
         def refuse(*args):
             raise AssertionError("a clique was built for a layout that its size settles")
 
-        settled = [lay for lay in enumerate_layouts(7, 13) if _clique_sweep(lay)[0] > 6]
+        settled = [lay for lay in enumerate_layouts(7, 13) if _clique_sweep(lay.to_bitstring())[0] > 6]
         monkeypatch.setattr(coloring, "find_clique", refuse)
         monkeypatch.setattr(coloring, "_crossing_chain", refuse)
         for lay in settled:
@@ -449,7 +508,7 @@ class TestSweepFirst:
             return found[-1]
 
         monkeypatch.setattr(coloring, "find_clique", recording)
-        open_layouts = [lay for lay in enumerate_layouts(7, 13) if _clique_sweep(lay)[0] <= 6]
+        open_layouts = [lay for lay in enumerate_layouts(7, 13) if _clique_sweep(lay.to_bitstring())[0] <= 6]
         for lay in open_layouts:
             assert is_k_colorable(conflict_graph(lay), 6).status == NOT_COLORABLE
         assert found == [reference_crossing_chain(lay) for lay in open_layouts]
@@ -904,6 +963,31 @@ class TestVerifyPipeline:
         assert len(res.logs) == count_formula(8, 17) == 21_879
         assert sum(log.nodes for log in res.logs) == 9_973
         assert len(found) == 373
+
+    @pytest.mark.parametrize(
+        "m, n, k, builds", [(7, 13, 6, 152), (7, 12, 6, 227 + 1), (8, 17, 7, 373)], ids=["prove", "refute", "k8_17"]
+    )
+    def test_builds_a_layout_only_for_open_layouts(self, layouts_built, m, n, k, builds):
+        # a layout that the sweep settles from its word builds no
+        # CircularLayout; K_{7,12} builds one more for its witness drawing
+        res = verify_positive_crossing(m, n, k)
+        assert len(layouts_built) == builds
+        searched = [log.canonical for log in res.logs if log.nodes]
+        assert sorted(set(layouts_built)) == sorted(searched)
+
+    def test_an_open_layout_is_swept_once(self, monkeypatch):
+        # find_clique finishes the decision's sweep, measuring only the cuts
+        # that it skipped: 5,709 LCS runs, against 6,773 for a fresh sweep
+        calls = []
+
+        def recording(short, match, width):
+            calls.append(width)
+            return _lcs_length(short, match, width)
+
+        monkeypatch.setattr(coloring, "_lcs_length", recording)
+        res = verify_positive_crossing(7, 13, 6)
+        assert sum(log.nodes for log in res.logs) == 3860
+        assert len(calls) == 5709
 
     def test_k68_witness_pinned(self):
         res = verify_positive_crossing(6, 8, 5)
