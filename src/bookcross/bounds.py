@@ -40,11 +40,21 @@ def _ints(low: int = 1, **values: object) -> list[int]:
 @dataclass(frozen=True)
 class BoundQuery:
     """Parameter bundle for bound evaluation; derived values are recomputed,
-    never caller-supplied."""
+    never caller-supplied.
+
+    The integer rule of the bound functions holds: k is a positive integer,
+    m and n non-negative ones, all stored as Python ints.
+    """
 
     k: int
     m: int
     n: int
+
+    def __post_init__(self):
+        [k] = _ints(k=self.k)
+        m, n = _ints(0, m=self.m, n=self.n)
+        for name, value in (("k", k), ("m", m), ("n", n)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
     def ell(self) -> int:

@@ -356,8 +356,12 @@ def is_k_colorable(g: ConflictGraph, k: int, budget: int = DEFAULT_NODE_BUDGET) 
     all k colors is counted as a node but not entered: its branching vertex
     would have no color to try.
     """
-    _check_ints(k=k)
-    _check_ints(0, budget=budget)
+    # verify_positive_crossing checks k and budget once per run, then calls
+    # this once per layout through check_layout (the names perfbench traces):
+    # plain ints in range skip the two _check_ints calls
+    if type(k) is not int or type(budget) is not int or k < 1 or budget < 0:
+        _check_ints(k=k)
+        _check_ints(0, budget=budget)
     start = time.perf_counter()
     nvert = g.vertex_count
     if nvert == 0:

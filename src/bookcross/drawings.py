@@ -19,7 +19,9 @@ cannot be reassigned, so the ``CrossingReport`` of the first
 it.  Each drawing is counted once, however many callers ask, and has at
 most 2**20 pages, however it is made.
 
-``count_crossings`` sweeps the chords with one bisect each, less the pairs
+``count_crossings`` settles each page whose chords all balance (as many
+chords start inside each chord as end inside it) as crossing-free, and
+sweeps the chords of the other pages with one bisect each, less the pairs
 that end before they start, which one numpy search finds; ``edges_cross``
 stays the independent reference for it and for the prefix-XOR conflict
 graphs.  Closed-form totals live in ``bounds``.  Counts are exact integers.
@@ -332,9 +334,22 @@ def edges_cross(layout: CircularLayout, e1: Edge, e2: Edge) -> bool:
 def count_crossings(d: BookDrawing) -> CrossingReport:
     """Exact per-page and total crossing counts of a book drawing.
 
-    One sweep over the chords (lo, hi) in (page, lo, -hi) order, keeping the
-    sorted right ends of the chords already seen on the page.  A chord
-    crosses exactly the earlier chords whose right end lies strictly inside
+    First a balance test settles the pages with no crossing.  Read each
+    chord x as an interval of the spine; let R(x) count the chords of its
+    page that start strictly inside x and end beyond it, and L(x) those that
+    start before x and end strictly inside it.  A page has no crossing iff
+    R(x) = L(x) for every chord x on it.  If some chord is crossed from the
+    left, take the one with the largest right end: balance gives it a chord
+    that crosses it from the right, which is itself crossed from the left
+    and ends further right, a contradiction.  R(x) - L(x) is the number of
+    chords of the page that start inside x less the number that end inside
+    it; nested chords, and chords that share an endpoint with x, count once
+    on each side.  Both numbers come from sorted searches, one per chord.
+
+    The pages that fail the test, and only those, are counted by one sweep
+    over their chords (lo, hi) in (page, lo, -hi) order, keeping the sorted
+    right ends of the chords already seen on the page.  A chord crosses
+    exactly the earlier chords whose right end lies strictly inside
     (lo, hi): they all start at or before lo, and the -hi tie order puts the
     chords that share its left end among those ending at or after hi.  The
     strict bounds keep chords that share an endpoint apart.
@@ -363,18 +378,40 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
     firsts = sizes.cumsum() - sizes
     # ends keyed by the chord's rank among the occupied pages, so the sort
     # key stays below E * spine**2 whatever k is; no two chords share both
-    # ends, so the key is unique and any sort kind gives the same order
+    # ends, so the key is unique and any sort kind gives the same order.
+    # The chord arrays are E long: each temporary goes as soon as it is used.
     base = np.searchsorted(occupied, page) * spine
     order = ((base + lo) * spine + (spine - 1 - hi)).argsort(kind="stable")
-    base, lo, hi = base[order], lo[order], hi[order]
+    del base
+    lo, hi = lo[order], hi[order]
+    del order
+    base = np.repeat(np.arange(len(occupied)) * spine, sizes)  # in sweep order
+    keyed_lo, keyed_hi = base + lo, base + hi
+    del base
     # in sweep order the keyed left ends are sorted, so one search per chord
     # counts the chords of earlier pages, and of its own page, that start
     # before it ends; the rest of its page start at or after its right end
-    started = np.add.reduceat(np.searchsorted(base + lo, base + hi), firsts)
-    before = (sizes * (firsts + sizes) - started).tolist()
+    balance = np.searchsorted(keyed_lo, keyed_hi)
+    before = sizes * (firsts + sizes) - np.add.reduceat(balance, firsts)
+    # less the chords up to x in sweep order, it counts those of the page
+    # that start inside x (or at lo, ending inside x); from that take those
+    # that end inside x (or at hi, starting inside x): x's rank in
+    # (page, hi, -lo) order, less the chords that end at or before lo
+    balance -= np.arange(1, len(balance) + 1)
+    keyed_hi *= spine
+    keyed_hi += spine - 1 - lo
+    del lo
+    ranked = np.sort(keyed_hi, kind="stable")  # the default kind would load numpy's SIMD quicksort too
+    balance -= np.searchsorted(ranked, keyed_hi)
+    del keyed_hi
+    keyed_lo += 1
+    keyed_lo *= spine
+    balance += np.searchsorted(ranked, keyed_lo)
+    del ranked, keyed_lo
+    crossed = np.logical_or.reduceat(balance != 0, firsts)
+    del balance
     per_page = [0] * d.k
-    start = 0
-    for p, count, term in zip(occupied.tolist(), sizes.tolist(), before):
+    for p, start, count, term in zip(*(a[crossed].tolist() for a in (occupied, firsts, sizes, before))):
         ends: list[int] = []
         crossings = -term
         for b in hi[start:start + count].tolist():
@@ -382,7 +419,6 @@ def count_crossings(d: BookDrawing) -> CrossingReport:
             crossings += i
             ends.insert(i, b)
         per_page[p] = crossings
-        start += count
     report = CrossingReport(sum(per_page), tuple(per_page))
     object.__setattr__(d, "_report", report)
     return report

@@ -279,6 +279,23 @@ class TestBoundQuery:
         assert q.r_mod_k == 1
         assert q.s_mod_k == 1
 
+    def test_integer_rule(self):
+        with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+            BoundQuery(2.5, -3, "x")
+        with pytest.raises(ValueError, match="k must be positive, got 0"):
+            BoundQuery(0, 5, 13)
+        with pytest.raises(ValueError, match="m must be non-negative, got -3"):
+            BoundQuery(4, -3, 13)
+        with pytest.raises(ValueError, match="n must be an integer, got 'x'"):
+            BoundQuery(4, 5, "x")
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            BoundQuery(4, 5, True)
+
+    def test_numpy_arguments_give_python_ints(self):
+        q = BoundQuery(np.int64(4), 5, 13)
+        assert type(q.k) is int and type(q.ell) is int and q.ell == 6
+        assert q == BoundQuery(4, 5, 13)
+
 
 class TestConsistencyScan:
     def test_k3_clean_and_tight(self):

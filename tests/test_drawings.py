@@ -200,6 +200,28 @@ class TestCountCrossings:
         d = balanced_embedding(k)
         assert count_crossings(d) == reference_count_crossings(d) == CrossingReport(0, (0,) * k)
 
+    @pytest.mark.parametrize("k, moves", [(2, None), (3, None), (6, None), (16, 60), (64, 12)])
+    def test_per_page_matches_reference_on_near_embeddings(self, k, moves):
+        # one edge of a balanced embedding moved to another page: only that
+        # page can cross, and the balance test must settle every other one;
+        # every move when moves is None, else a fixed sample of them
+        base = balanced_embedding(k)
+        if moves is None:
+            cases = [(i, j, q) for i, j in product(range(base.m), range(base.n)) for q in range(k)]
+        else:
+            rng = random.Random(k)
+            cases = [(rng.randrange(base.m), rng.randrange(base.n), rng.randrange(k)) for _ in range(moves)]
+        for i, j, q in cases:
+            if q == base.page_array[i, j]:
+                continue
+            pages = base.page_array.copy()
+            pages[i, j] = q
+            d = BookDrawing(base.layout, k, pages)
+            report = count_crossings(d)
+            assert report == reference_count_crossings(d), (i, j, q)
+            moved = sum(edges_cross(base.layout, (i, j), tuple(e)) for e in np.argwhere(pages == q).tolist())
+            assert report.per_page == tuple(moved if p == q else 0 for p in range(k)), (i, j, q)
+
     def test_per_page_matches_reference_on_blowups(self):
         for k in range(2, 7):
             base = balanced_embedding(k)
@@ -241,6 +263,15 @@ class TestCountCrossings:
         report, peak = self.traced_count(d)
         assert report == CrossingReport(0, (0,) * 1000)
         assert peak < 2 * 2**20
+
+    def test_balanced_embedding_memory(self):
+        # 68,640 chords on 64 pages: the chord arrays are E long, so each
+        # temporary must go as soon as it is used
+        base = balanced_embedding(64)
+        d = BookDrawing(base.layout, base.k, base.page_array)  # not yet counted
+        report, peak = self.traced_count(d)
+        assert report == CrossingReport(0, (0,) * 64)
+        assert peak < 4 * 2**20
 
     def test_total_bounded_by_edge_pairs(self):
         rng = random.Random(23)
